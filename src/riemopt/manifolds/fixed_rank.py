@@ -64,11 +64,7 @@ def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
         return zv, ztu
 
     def inner(x, u, v):
-        return float(
-            np.tensordot(u.m, v.m, 2)
-            + np.tensordot(u.up, v.up, 2)
-            + np.tensordot(u.vp, v.vp, 2)
-        )
+        return float(np.vdot(u.m, v.m) + np.vdot(u.up, v.up) + np.vdot(u.vp, v.vp))
 
     def proj(x, z):
         zv, ztu = _ambient_products(z, x)

@@ -4,11 +4,12 @@ Edge-list file format: whitespace-separated lines ``i j w`` with 1-based
 node indices and optional weight (default 1.0).  ``#`` starts a comment,
 blank lines are skipped, duplicate edges sum their weights, and an optional
 header line ``p <n> <m>`` fixes the node count (otherwise it is the largest
-index seen).
+index seen).  Weights must be finite and nonnegative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -33,7 +34,10 @@ class Graph:
             if weight < 0:
                 raise ValueError(f"negative weight {weight} on edge ({i}, {j})")
             a, b = min(i, j), max(i, j)
-            merged[(a, b)] = merged.get((a, b), 0.0) + float(weight)
+            total = merged.get((a, b), 0.0) + float(weight)
+            if not math.isfinite(total):
+                raise ValueError(f"non-finite weight {total} on edge ({a}, {b})")
+            merged[(a, b)] = total
         for (a, b), weight in merged.items():
             w[a - 1, b - 1] = weight
             w[b - 1, a - 1] = weight
@@ -74,6 +78,8 @@ def load_graph(path) -> Graph:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
             if w < 0:
                 raise ValueError(f"{path}:{lineno}: negative weight {w}")
+            if not math.isfinite(w):
+                raise ValueError(f"{path}:{lineno}: non-finite weight {w}")
             raw_edges.append((i, j, w))
 
     max_index = max((max(i, j) for i, j, _ in raw_edges), default=0)

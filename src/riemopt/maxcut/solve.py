@@ -62,7 +62,8 @@ def build_problem(
 
     cost(Y) = -trace(Y'LY)/4, egrad(Y) = -(LY)/2, ehess(Y, U) = -(LU)/2.
     The product LY is stored in the per-point cache so the cost and the
-    gradient share one multiply.
+    gradient share one multiply; the solvers' cache store keeps egrad per
+    point, so Hessian-vector products at that point cost one LU each.
     """
     if r < 1:
         raise ValueError(f"build_problem: rank must be >= 1, got {r}")
@@ -80,7 +81,7 @@ def build_problem(
         return cache["LY"]
 
     def cost(y, cache):
-        return -float(np.tensordot(y, cached_ly(y, cache), 2)) / 4.0
+        return -float(np.vdot(y, cached_ly(y, cache))) / 4.0
 
     def egrad(y, cache):
         return -cached_ly(y, cache) / 2.0
@@ -116,19 +117,17 @@ def round_cut(
     """Random hyperplane rounding: keep the best of ``trials`` projections.
 
     Zero components of Y z are mapped to +1 so the rule is deterministic.
+    All trials are drawn and scored at once; the draw consumes the same
+    numbers as ``trials`` draws of size r, and the first best trial wins.
+    The winner's value is recomputed as s'Ls/4 on its own.
     """
     if trials < 1:
         raise ValueError(f"round_cut: trials must be >= 1, got {trials}")
-    r = Y.shape[1]
-    best_s = None
-    best_val = -np.inf
-    for _ in range(trials):
-        z = rng.standard_normal(r)
-        s = np.where(Y @ z >= 0, 1.0, -1.0)
-        val = float(s @ L @ s) / 4.0
-        if val > best_val:
-            best_val, best_s = val, s
-    return best_s, best_val
+    Z = rng.standard_normal((trials, Y.shape[1]))
+    S = np.where(Y @ Z.T >= 0, 1.0, -1.0)  # column k: signs of trial k
+    vals = (S * (L @ S)).sum(axis=0)
+    s = S[:, int(np.argmax(vals))].copy()
+    return s, float(s @ L @ s) / 4.0
 
 
 def certify(

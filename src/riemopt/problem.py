@@ -48,8 +48,10 @@ class CacheStore:
 
     Entries live under integer point tokens issued by :meth:`token`; at most
     ``capacity`` recent tokens are retained (solvers only revisit the
-    current point and one candidate).  Disabling caching keeps the counters
-    but stores nothing, so every query is a miss.
+    current point and one candidate).  An entry holds the cost, the
+    Riemannian gradient and the user's Euclidean gradient, so ``egrad`` runs
+    once per point however many Hessian-vector products follow.  Disabling
+    caching keeps the counters but stores nothing, so every query is a miss.
     """
 
     def __init__(self, caching: bool = True, capacity: int = 2):
@@ -153,6 +155,13 @@ def get_cost(
     return value
 
 
+def _euclidean_gradient(p: ProblemDef, x: Point, entry: dict):
+    """User egrad at x, kept in the point's cache entry."""
+    if "egrad" not in entry:
+        entry["egrad"] = _call(p, "egrad", p.egrad, (x,), entry["user"])
+    return entry["egrad"]
+
+
 def get_gradient(
     p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[int] = None
 ) -> Tangent:
@@ -163,8 +172,7 @@ def get_gradient(
     if p.rgrad is not None:
         g = _call(p, "rgrad", p.rgrad, (x,), entry["user"])
     elif p.egrad is not None:
-        eg = _call(p, "egrad", p.egrad, (x,), entry["user"])
-        g = p.manifold.egrad2rgrad(x, eg)
+        g = p.manifold.egrad2rgrad(x, _euclidean_gradient(p, x, entry))
     else:
         raise MissingDerivativeError(
             "problem supplies neither 'rgrad' nor 'egrad'; gradient unavailable"
@@ -186,7 +194,10 @@ def get_hessian(
 
     Resolution order: rhess, then converted ehess, then the FD
     approximation.  Manifolds without an exact conversion (fixed rank)
-    silently fall back to FD; this is logged once per store.
+    silently fall back to FD; this is logged once per store.  The
+    conversion needs the Euclidean gradient at x: it is taken from the
+    point's cache entry, so with caching on the user ``egrad`` runs once per
+    point, and with caching off once per call.
     """
     entry = store.entry(token) if store is not None else {"user": {}}
     if p.rhess is not None:
@@ -195,15 +206,11 @@ def get_hessian(
         return _call(p, "rhess", p.rhess, (x, u), entry["user"])
     if p.ehess is not None:
         if p.manifold.ehess2rhess is not None:
-            eg = (
-                _call(p, "egrad", p.egrad, (x,), entry["user"])
-                if p.egrad is not None
-                else None
-            )
-            if eg is None:
+            if p.egrad is None:
                 raise MissingDerivativeError(
                     "'ehess' conversion needs 'egrad' on this problem"
                 )
+            eg = _euclidean_gradient(p, x, entry)
             eh = _call(p, "ehess", p.ehess, (x, u), entry["user"])
             if store is not None:
                 store.hess_evals += 1

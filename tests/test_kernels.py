@@ -1,0 +1,205 @@
+"""The hot primitives of the trust-region inner loop against the formulas
+they replaced: every value must agree bit for bit, and the per-point egrad
+cache must change call counts only."""
+
+import numpy as np
+import pytest
+
+from riemopt import (
+    CacheStore,
+    ProblemDef,
+    elliptope_factory,
+    fixed_rank_factory,
+    get_gradient,
+    get_hessian,
+    oblique_factory,
+    sphere_factory,
+)
+from riemopt.exceptions import DimensionMismatchError
+from riemopt.manifolds.base import array_lincomb, check_shape, trace_inner
+from riemopt.maxcut import Graph, laplacian, round_cut
+
+
+def _pairs(rng):
+    """(u, v) pairs of equal shape in several memory layouts."""
+    for shape in [(7,), (20, 3), (45, 6), (120, 8), (4, 5, 3)]:
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        yield u, v
+        if u.ndim == 2:
+            yield u.T, v.T  # transposed views
+            yield np.asfortranarray(u), v
+            yield u[::2], v[::2]  # strided rows
+
+
+def test_trace_inner_matches_tensordot_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        for u, v in _pairs(rng):
+            old = float(np.tensordot(u, v, axes=u.ndim))
+            assert trace_inner(u, u, v) == old
+            assert trace_inner(u, v, u) == float(np.tensordot(v, u, axes=v.ndim))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_trace_inner_rejects_either_mismatched_tangent(which):
+    x = np.zeros((4, 2))
+    good, bad = np.ones((4, 2)), np.ones((2, 4))
+    args = (good, bad) if which else (bad, good)
+    tangent = ("first", "second")[which]
+    with pytest.raises(DimensionMismatchError, match=f"inner: {tangent} tangent"):
+        trace_inner(x, *args)
+
+
+def test_check_shape_message_and_non_array_inputs():
+    with pytest.raises(DimensionMismatchError, match=r"proj: expected shape \(3,\), got \(2,\)"):
+        check_shape(np.zeros(3), np.zeros(2), "proj")
+    check_shape([1.0, 2.0], np.zeros(2), "lists")  # np.shape semantics
+    check_shape(3.0, np.float64(1.0), "scalars")
+    with pytest.raises(DimensionMismatchError, match=r"expected shape \(2,\), got \(\)"):
+        check_shape([1.0, 2.0], 5.0, "mixed")
+
+
+def test_array_lincomb_unit_coefficient_is_exact():
+    rng = np.random.default_rng(1)
+    for u, v in _pairs(rng):
+        for b in (0.0, -1.0, 0.37, 1e-300):
+            out = array_lincomb(None, 1.0, u, b, v)
+            assert np.array_equal(out, 1.0 * u + b * v)
+            assert out is not u
+        assert np.array_equal(array_lincomb(None, 1.0, u), 1.0 * u)
+
+
+def test_fixed_rank_inner_matches_tensordot_sum():
+    M = fixed_rank_factory(9, 7, 3)
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        x = M.rand_point(rng)
+        u, v = M.rand_tangent(x, rng), M.rand_tangent(x, rng)
+        old = float(
+            np.tensordot(u.m, v.m, 2)
+            + np.tensordot(u.up, v.up, 2)
+            + np.tensordot(u.vp, v.vp, 2)
+        )
+        assert M.inner(x, u, v) == old
+
+
+@pytest.mark.parametrize(
+    "M, axis",
+    [(oblique_factory(20, 6), 0), (elliptope_factory(40, 5), 1)],
+    ids=["oblique", "elliptope"],
+)
+def test_row_and_column_sums_match_np_sum(M, axis):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x = M.rand_point(rng)
+        z, eg, eh = (M.rand_ambient(x, rng) for _ in range(3))
+        u = M.proj(x, M.rand_ambient(x, rng))
+        proj_old = z - x * np.sum(x * z, axis=axis, keepdims=True)
+        assert np.array_equal(M.proj(x, z), proj_old)
+        hess_old = (eh - x * np.sum(x * eh, axis=axis, keepdims=True)) - u * np.sum(
+            x * eg, axis=axis, keepdims=True
+        )
+        assert np.array_equal(M.ehess2rhess(x, eg, eh, u), hess_old)
+
+
+# --- one egrad per point ------------------------------------------------------
+
+
+def _counting_sphere_problem():
+    M = sphere_factory(6)
+    a = np.diag(np.arange(1.0, 7.0))
+    calls = {"egrad": 0, "ehess": 0}
+
+    def egrad(x):
+        calls["egrad"] += 1
+        return -2.0 * a @ x
+
+    def ehess(x, u):
+        calls["ehess"] += 1
+        return -2.0 * a @ u
+
+    p = ProblemDef(manifold=M, cost=lambda x: -float(x @ a @ x), egrad=egrad, ehess=ehess)
+    return p, calls
+
+
+def _hessians(caching):
+    p, calls = _counting_sphere_problem()
+    rng = np.random.default_rng(4)
+    store = CacheStore(caching=caching)
+    values = []
+    for _ in range(3):  # three points, five directions each
+        x = p.manifold.rand_point(rng)
+        tok = store.token()
+        get_gradient(p, x, store, tok)
+        for _ in range(5):
+            values.append(get_hessian(p, x, p.manifold.rand_tangent(x, rng), store, tok))
+    return values, calls
+
+
+def test_egrad_runs_once_per_point_with_caching():
+    values, calls = _hessians(caching=True)
+    assert calls == {"egrad": 3, "ehess": 15}
+
+
+def test_egrad_runs_per_hessian_product_without_caching():
+    values, calls = _hessians(caching=False)
+    assert calls == {"egrad": 3 + 15, "ehess": 15}
+
+
+def test_hessian_values_do_not_depend_on_caching():
+    on, _ = _hessians(caching=True)
+    off, _ = _hessians(caching=False)
+    assert all(np.array_equal(a, b) for a, b in zip(on, off))
+
+
+def test_hessian_first_then_gradient_shares_egrad():
+    p, calls = _counting_sphere_problem()
+    store = CacheStore()
+    x = p.manifold.rand_point(np.random.default_rng(5))
+    tok = store.token()
+    u = p.manifold.rand_tangent(x, np.random.default_rng(6))
+    get_hessian(p, x, u, store, tok)
+    g = get_gradient(p, x, store, tok)
+    assert calls["egrad"] == 1
+    assert np.array_equal(g, p.manifold.egrad2rgrad(x, p.egrad(x)))
+
+
+# --- batched rounding -----------------------------------------------------------
+
+
+def _round_cut_reference(L, Y, trials, rng):
+    """The per-trial loop that round_cut replaced."""
+    r = Y.shape[1]
+    best_s, best_val = None, -np.inf
+    for _ in range(trials):
+        z = rng.standard_normal(r)
+        s = np.where(Y @ z >= 0, 1.0, -1.0)
+        val = float(s @ L @ s) / 4.0
+        if val > best_val:
+            best_val, best_s = val, s
+    return best_s, best_val
+
+
+def _random_graph(n, m, rng, weighted):
+    pairs = set()
+    while len(pairs) < m:
+        i, j = rng.integers(1, n + 1, size=2)
+        if i != j:
+            pairs.add((int(min(i, j)), int(max(i, j))))
+    weights = rng.integers(1, 10, size=m) if weighted else np.ones(m)
+    return Graph.from_edges(n, [(i, j, float(w)) for (i, j), w in zip(sorted(pairs), weights)])
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_round_cut_matches_per_trial_loop(weighted):
+    rng = np.random.default_rng(7)
+    for n, r, trials in [(6, 2, 1), (20, 3, 100), (60, 5, 100), (90, 8, 37)]:
+        L = laplacian(_random_graph(n, 2 * n, rng, weighted))
+        Y = elliptope_factory(n, r).rand_point(rng)
+        seed = int(rng.integers(2**31))
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        s_new, val_new = round_cut(L, Y, trials, rng_new)
+        s_old, val_old = _round_cut_reference(L, Y, trials, rng_old)
+        assert np.array_equal(s_new, s_old)
+        assert val_new == val_old
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state

@@ -89,6 +89,23 @@ def test_load_graph_malformed_and_negative(tmp_path):
         load_graph(f)
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-nan", "Infinity"])
+def test_load_graph_rejects_nonfinite_weight(tmp_path, weight):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"1 2 1\n1 3 {weight}\n")
+    with pytest.raises(ValueError, match=r":2: non-finite weight"):
+        load_graph(f)
+
+
+def test_from_edges_rejects_nonfinite_weight():
+    with pytest.raises(ValueError, match=r"non-finite weight nan on edge \(1, 2\)"):
+        Graph.from_edges(2, [(2, 1, math.nan)])
+    with pytest.raises(ValueError, match="non-finite weight inf"):
+        Graph.from_edges(3, [(1, 2, 1.0), (1, 3, math.inf)])
+    with pytest.raises(ValueError, match="non-finite weight inf"):
+        Graph.from_edges(2, [(1, 2, 1e308), (2, 1, 1e308)])  # duplicates overflow
+
+
 # --- Laplacian and cut values ------------------------------------------------
 
 
@@ -403,6 +420,16 @@ def test_cli_missing_graph_exits_one(tmp_path, capsys):
     code = run_cli(["solve", "--graph", str(tmp_path / "nope.txt")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_nonfinite_weight_exits_one(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("1 2 nan\n1 3 inf\n")
+    code = run_cli(["solve", "--graph", str(f), "--escalate", "--out", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error:" in captured.err and ":1: non-finite weight nan" in captured.err
 
 
 def test_cli_bad_flag_exits_one(capsys):
