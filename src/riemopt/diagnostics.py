@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import ProblemDef, get_cost, get_gradient, get_hessian
+from .problem import CacheStore, ProblemDef, get_cost, get_gradient, get_hessian
 from .exceptions import MissingDerivativeError
 
 NUM_SAMPLES = 51
@@ -93,6 +93,27 @@ def _resolve_point_direction(p: ProblemDef, x, u, rng):
     return x, u
 
 
+def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeReport:
+    """Slope test of |remainder(t, f(R_x(t u)))| over log-spaced t, plus the
+    tangency residual of v.  Exact remainders pass without the slope."""
+    M = p.manifold
+    ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
+    rem = np.array([abs(remainder(t, get_cost(p, M.retract(x, u, t)))) for t in ts])
+    slope, span = fit_loglog_slope(ts, rem)
+    exact = bool(np.all(rem <= EXACT_REMAINDER_SCALE * max(1.0, abs(f0))))
+    v_proj = M.proj(x, M.tangent_to_ambient(x, v))
+    tangency = M.norm(x, M.lincomb(x, 1.0, v, -1.0, v_proj)) / max(1.0, M.norm(x, v))
+    return SlopeReport(
+        samples=list(zip(ts.tolist(), rem.tolist())),
+        fitted_slope=slope,
+        window=span,
+        tangency_residual=float(tangency),
+        verdict=exact or expected[0] <= slope <= expected[1],
+        expected_slope_range=expected,
+        exact_branch=exact,
+    )
+
+
 def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     """First-order Taylor test of the gradient along a tangent direction."""
     if not p.has_gradient():
@@ -102,28 +123,12 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     f0 = get_cost(p, x)
     g = get_gradient(p, x)
     df = M.inner(x, g, u)
-
-    ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
-    rem = np.array([abs(get_cost(p, M.retract(x, u, t)) - f0 - t * df) for t in ts])
-
-    g_proj = M.proj(x, M.tangent_to_ambient(x, g))
-    tangency = M.norm(x, M.lincomb(x, 1.0, g, -1.0, g_proj)) / max(1.0, M.norm(x, g))
-
-    slope, span = fit_loglog_slope(ts, rem)
-    exact = bool(np.all(rem <= EXACT_REMAINDER_SCALE * max(1.0, abs(f0))))
-    lo, hi = GRADIENT_SLOPE_RANGE
-    verdict = (exact or lo <= slope <= hi) and tangency <= TANGENCY_TOL
-
-    report = SlopeReport(
-        samples=list(zip(ts.tolist(), rem.tolist())),
-        fitted_slope=slope,
-        window=span,
-        tangency_residual=float(tangency),
-        verdict=verdict,
-        expected_slope_range=GRADIENT_SLOPE_RANGE,
-        exact_branch=exact,
+    report = _taylor_report(
+        p, x, u, f0, lambda t, f: f - f0 - t * df, GRADIENT_SLOPE_RANGE, g
     )
+    tangency = report.tangency_residual
     if tangency > TANGENCY_TOL:
+        report.verdict = False
         report.flags.append(f"gradient not tangent (residual {tangency:.3e})")
     return report
 
@@ -147,36 +152,18 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     M = p.manifold
     rng = rng if rng is not None else np.random.default_rng(0)
     x, u = _resolve_point_direction(p, x, u, rng)
+    # Every Hessian-vector product below is taken at x: one cache entry
+    # lets them share the gradient's egrad.
+    store = CacheStore()
+    tok = store.token()
     f0 = get_cost(p, x)
-    g = get_gradient(p, x)
-    hu = get_hessian(p, x, u)
+    g = get_gradient(p, x, store, tok)
+    hu = get_hessian(p, x, u, store, tok)
     df = M.inner(x, g, u)
     d2f = M.inner(x, u, hu)
-
-    ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
-    rem = np.array(
-        [
-            abs(get_cost(p, M.retract(x, u, t)) - f0 - t * df - 0.5 * t * t * d2f)
-            for t in ts
-        ]
-    )
-
     expected = HESSIAN_SLOPE_RANGE if M.second_order_retraction else GRADIENT_SLOPE_RANGE
-    slope, span = fit_loglog_slope(ts, rem)
-    exact = bool(np.all(rem <= EXACT_REMAINDER_SCALE * max(1.0, abs(f0))))
-    verdict = exact or expected[0] <= slope <= expected[1]
-
-    hu_proj = M.proj(x, M.tangent_to_ambient(x, hu))
-    tangency = M.norm(x, M.lincomb(x, 1.0, hu, -1.0, hu_proj)) / max(1.0, M.norm(x, hu))
-
-    report = SlopeReport(
-        samples=list(zip(ts.tolist(), rem.tolist())),
-        fitted_slope=slope,
-        window=span,
-        tangency_residual=float(tangency),
-        verdict=verdict,
-        expected_slope_range=expected,
-        exact_branch=exact,
+    report = _taylor_report(
+        p, x, u, f0, lambda t, f: f - f0 - t * df - 0.5 * t * t * d2f, expected, hu
     )
 
     # Symmetry audit: <H v, w> vs <v, H w> over random pairs.
@@ -184,8 +171,8 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     for _ in range(10):
         v = M.rand_tangent(x, rng)
         w = M.rand_tangent(x, rng)
-        hv = get_hessian(p, x, v)
-        hw = get_hessian(p, x, w)
+        hv = get_hessian(p, x, v, store, tok)
+        hw = get_hessian(p, x, w, store, tok)
         a = M.inner(x, hv, w)
         b = M.inner(x, v, hw)
         sym = max(sym, abs(a - b) / max(1.0, abs(a)))
@@ -197,8 +184,10 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     v = M.rand_tangent(x, rng)
     w = M.rand_tangent(x, rng)
     a, b = 0.7, -1.3
-    combo = get_hessian(p, x, M.lincomb(x, a, v, b, w))
-    ref = M.lincomb(x, a, get_hessian(p, x, v), b, get_hessian(p, x, w))
+    combo = get_hessian(p, x, M.lincomb(x, a, v, b, w), store, tok)
+    ref = M.lincomb(
+        x, a, get_hessian(p, x, v, store, tok), b, get_hessian(p, x, w, store, tok)
+    )
     lin = M.norm(x, M.lincomb(x, 1.0, combo, -1.0, ref)) / max(1.0, M.norm(x, ref))
     report.linearity_residual = lin
     if lin > 1e-10:

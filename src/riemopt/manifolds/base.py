@@ -126,6 +126,30 @@ def array_identity_ambient(x, u):
     return u
 
 
+def zero_step(u: np.ndarray, t) -> bool:
+    # Retractions return x itself here: retract(x, 0) = x bit for bit.
+    return t == 0 or not np.any(u)
+
+
+def embedded_descriptor(shape, proj, **fields) -> ManifoldDescriptor:
+    """Descriptor of a manifold embedded in R^shape with the trace metric.
+
+    Tangent vectors are ambient arrays, the Riemannian gradient and the
+    vector transport are projections, and random ambient vectors are
+    standard normal; ``fields`` supplies the rest and may override these.
+    """
+    defaults = dict(
+        inner=trace_inner,
+        egrad2rgrad=proj,
+        rand_ambient=lambda x, rng: rng.standard_normal(shape),
+        transport=lambda x, y, u: proj(y, u),
+        zero_tangent=array_zero,
+        lincomb=array_lincomb,
+        tangent_to_ambient=array_identity_ambient,
+    )
+    return ManifoldDescriptor(proj=proj, **{**defaults, **fields})
+
+
 def qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR with the sign convention diag(R) > 0 (makes QR deterministic)."""
     q, r = np.linalg.qr(a)

@@ -7,14 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import (
-    ManifoldDescriptor,
-    array_identity_ambient,
-    array_lincomb,
-    array_zero,
-    check_shape,
-    trace_inner,
-)
+from .base import ManifoldDescriptor, check_shape, embedded_descriptor
 
 
 def euclidean_factory(*shape: int) -> ManifoldDescriptor:
@@ -30,21 +23,16 @@ def euclidean_factory(*shape: int) -> ManifoldDescriptor:
     def retract(x, u, t=1.0):
         return x + t * u
 
-    return ManifoldDescriptor(
+    return embedded_descriptor(
+        shape,
+        proj,
         name=f"Euclidean{shape}",
         dim=dim,
         typical_dist=math.sqrt(dim),
-        inner=trace_inner,
-        proj=proj,
         retract=retract,
-        egrad2rgrad=proj,
         ehess2rhess=lambda x, egrad, ehess_u, u: np.asarray(ehess_u, dtype=float),
         rand_point=lambda rng: rng.standard_normal(shape),
-        rand_ambient=lambda x, rng: rng.standard_normal(shape),
         transport=lambda x, y, u: u,
-        zero_tangent=array_zero,
-        lincomb=array_lincomb,
-        tangent_to_ambient=array_identity_ambient,
         constraint_violation=lambda x: 0.0,
         second_order_retraction=True,
     )

@@ -14,12 +14,10 @@ import numpy as np
 
 from .base import (
     ManifoldDescriptor,
-    array_identity_ambient,
-    array_lincomb,
-    array_zero,
     check_shape,
+    embedded_descriptor,
     qr_positive,
-    trace_inner,
+    zero_step,
 )
 
 
@@ -31,6 +29,40 @@ def _skew(a: np.ndarray) -> np.ndarray:
     return (a - a.T) / 2.0
 
 
+def _orthonormality(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x.T @ x - np.eye(x.shape[1]))))
+
+
+def _orthonormal_factory(n: int, p: int, proj, fix=lambda q: q, **fields):
+    """n x p matrices with orthonormal columns and the trace metric,
+    retracted by the Q factor of a positive-diagonal QR; ``fix`` adjusts
+    each Q factor (and each random point) after the decomposition.
+
+    The Hessian conversion defaults to the embedded Stiefel one; ``fields``
+    gives the name, dimension and length scale and may override the rest.
+    """
+
+    def q_factor(a):
+        q, _ = qr_positive(a)
+        return fix(q)
+
+    def retract(x, u, t=1.0):
+        if zero_step(u, t):
+            return x
+        return q_factor(x + t * u)
+
+    def ehess2rhess(x, egrad, ehess_u, u):
+        return proj(x, ehess_u - u @ _sym(x.T @ egrad))
+
+    defaults = dict(
+        retract=retract,
+        ehess2rhess=ehess2rhess,
+        rand_point=lambda rng: q_factor(rng.standard_normal((n, p))),
+        constraint_violation=_orthonormality,
+    )
+    return embedded_descriptor((n, p), proj, **{**defaults, **fields})
+
+
 def stiefel_factory(n: int, p: int) -> ManifoldDescriptor:
     """Orthonormal n x p matrices, X'X = I_p."""
     if p < 1 or p > n:
@@ -40,35 +72,11 @@ def stiefel_factory(n: int, p: int) -> ManifoldDescriptor:
         check_shape(x, z, "stiefel proj")
         return z - x @ _sym(x.T @ z)
 
-    def retract(x, u, t=1.0):
-        if t == 0 or not np.any(u):
-            return x
-        q, _ = qr_positive(x + t * u)
-        return q
-
-    def ehess2rhess(x, egrad, ehess_u, u):
-        return proj(x, ehess_u - u @ _sym(x.T @ egrad))
-
-    def rand_point(rng):
-        q, _ = qr_positive(rng.standard_normal((n, p)))
-        return q
-
-    return ManifoldDescriptor(
+    return _orthonormal_factory(
+        n, p, proj,
         name=f"Stiefel({n},{p})",
         dim=n * p - p * (p + 1) // 2,
         typical_dist=math.pi * math.sqrt(p),
-        inner=trace_inner,
-        proj=proj,
-        retract=retract,
-        egrad2rgrad=proj,
-        ehess2rhess=ehess2rhess,
-        rand_point=rand_point,
-        rand_ambient=lambda x, rng: rng.standard_normal((n, p)),
-        transport=lambda x, y, u: proj(y, u),
-        zero_tangent=array_zero,
-        lincomb=array_lincomb,
-        tangent_to_ambient=array_identity_ambient,
-        constraint_violation=lambda x: float(np.max(np.abs(x.T @ x - np.eye(p)))),
         # The QR retraction is first order only.
         second_order_retraction=False,
     )
@@ -87,35 +95,15 @@ def grassmann_factory(n: int, p: int) -> ManifoldDescriptor:
         check_shape(x, z, "grassmann proj")
         return z - x @ (x.T @ z)
 
-    def retract(x, u, t=1.0):
-        if t == 0 or not np.any(u):
-            return x
-        q, _ = qr_positive(x + t * u)
-        return q
-
     def ehess2rhess(x, egrad, ehess_u, u):
         return proj(x, ehess_u) - u @ (x.T @ egrad)
 
-    def rand_point(rng):
-        q, _ = qr_positive(rng.standard_normal((n, p)))
-        return q
-
-    return ManifoldDescriptor(
+    return _orthonormal_factory(
+        n, p, proj,
         name=f"Grassmann({n},{p})",
         dim=p * (n - p),
         typical_dist=math.pi * math.sqrt(p),
-        inner=trace_inner,
-        proj=proj,
-        retract=retract,
-        egrad2rgrad=proj,
         ehess2rhess=ehess2rhess,
-        rand_point=rand_point,
-        rand_ambient=lambda x, rng: rng.standard_normal((n, p)),
-        transport=lambda x, y, u: proj(y, u),
-        zero_tangent=array_zero,
-        lincomb=array_lincomb,
-        tangent_to_ambient=array_identity_ambient,
-        constraint_violation=lambda x: float(np.max(np.abs(x.T @ x - np.eye(p)))),
         # As a map to the quotient, the Q factor spans col(X + tU), which
         # agrees with the (second-order) metric projection retraction.
         second_order_retraction=True,
@@ -131,45 +119,20 @@ def rotations_factory(n: int) -> ManifoldDescriptor:
         check_shape(x, z, "rotations proj")
         return x @ _skew(x.T @ z)
 
-    def _det_fix(q: np.ndarray) -> np.ndarray:
+    def det_fix(q: np.ndarray) -> np.ndarray:
         if np.linalg.det(q) < 0:
             q = q.copy()
             q[:, -1] = -q[:, -1]
         return q
 
-    def retract(x, u, t=1.0):
-        if t == 0 or not np.any(u):
-            return x
-        q, _ = qr_positive(x + t * u)
-        return _det_fix(q)
-
-    def ehess2rhess(x, egrad, ehess_u, u):
-        return proj(x, ehess_u - u @ _sym(x.T @ egrad))
-
-    def rand_point(rng):
-        q, _ = qr_positive(rng.standard_normal((n, n)))
-        return _det_fix(q)
-
-    def violation(x):
-        v = float(np.max(np.abs(x.T @ x - np.eye(n))))
-        return max(v, abs(np.linalg.det(x) - 1.0))
-
-    return ManifoldDescriptor(
+    return _orthonormal_factory(
+        n, n, proj, fix=det_fix,
         name=f"Rotations({n})",
         dim=n * (n - 1) // 2,
         # n = 1 is a single point; any positive scale works there.
         typical_dist=math.pi * math.sqrt(n * (n - 1) / 2) / 2 if n > 1 else 1.0,
-        inner=trace_inner,
-        proj=proj,
-        retract=retract,
-        egrad2rgrad=proj,
-        ehess2rhess=ehess2rhess,
-        rand_point=rand_point,
-        rand_ambient=lambda x, rng: rng.standard_normal((n, n)),
-        transport=lambda x, y, u: proj(y, u),
-        zero_tangent=array_zero,
-        lincomb=array_lincomb,
-        tangent_to_ambient=array_identity_ambient,
-        constraint_violation=violation,
+        constraint_violation=lambda x: max(
+            _orthonormality(x), abs(np.linalg.det(x) - 1.0)
+        ),
         second_order_retraction=False,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -22,6 +23,25 @@ from ..diagnostics import check_gradient, check_hessian
 from ..solvers import SolverOptions, history_to_csv
 from .graph import Graph, laplacian, load_graph
 from .solve import build_problem, rank_escalation, round_cut, solve_rank_r, certify
+
+
+def _checked(kind, ok, requirement: str):
+    """argparse type: ``kind(text)``, rejected unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_MIN_ITER = SolverOptions().min_iter
+_MAX_ITER = _checked(int, lambda v: v >= _MIN_ITER, f">= {_MIN_ITER}")
+_TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,12 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve the relaxation and round to a cut")
     solve.add_argument("--graph", required=True, help="edge-list file")
-    solve.add_argument("--rank", type=int, default=2, help="relaxation rank r")
+    solve.add_argument("--rank", type=_POSITIVE_INT, default=2, help="relaxation rank r")
     solve.add_argument(
         "--escalate", action="store_true", help="increase r until certified"
     )
-    solve.add_argument("--trials", type=int, default=100, help="rounding trials")
-    solve.add_argument("--tol", type=float, default=1e-6, help="certification tol")
+    solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials")
+    solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--solver", choices=("tr", "cg", "sd"), default="tr")
     solve.add_argument("--out", choices=("text", "json", "csv"), default="text")
@@ -50,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="wall",
         help="'none' reports zero elapsed times (reproducible output)",
     )
-    solve.add_argument("--max-iter", type=int, default=1000)
+    solve.add_argument("--max-iter", type=_MAX_ITER, default=1000)
 
     check = sub.add_parser("check", help="derivative checks on the built problem")
     check.add_argument("--graph", required=True)
-    check.add_argument("--rank", type=int, default=2)
+    check.add_argument("--rank", type=_POSITIVE_INT, default=2)
     check.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -91,6 +111,10 @@ def run_cli(argv=None) -> int:
         g = load_graph(args.graph)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.rank > g.n and not (args.command == "solve" and args.escalate):
+        print(f"error: --rank {args.rank} exceeds the {g.n} nodes of the graph",
+              file=sys.stderr)
         return 1
     L = laplacian(g)
     rng = np.random.default_rng(args.seed)

@@ -209,24 +209,23 @@ def rank_escalation(
         # Embed at rank r+1 and step off the saddle.
         y_up = np.hstack([Y, np.zeros((n, 1))])
         p_up = build_problem(L, r + 1)
-        if v is not None:
-            z = np.hstack([np.zeros((n, r)), v[:, None]])
-        else:
-            z = p_up.manifold.rand_tangent(y_up, rng)
-        f0 = get_cost(p_up, y_up)
-        x0 = None
-        for t in (1e-2, 1e-3, 1e-4):
-            cand = p_up.manifold.retract(y_up, z, t)
-            if get_cost(p_up, cand) < f0:
-                x0 = cand
-                break
-        if x0 is None:
-            z = p_up.manifold.rand_tangent(y_up, rng)
-            for t in (1e-2, 1e-3, 1e-4):
-                cand = p_up.manifold.retract(y_up, z, t)
-                if get_cost(p_up, cand) < f0:
-                    x0 = cand
-                    break
-        if x0 is None:
-            x0 = y_up
+        z = None if v is None else np.hstack([np.zeros((n, r)), v[:, None]])
+        x0 = _step_off(p_up, y_up, z, rng)
         r += 1
+
+
+def _step_off(p: ProblemDef, y: np.ndarray, z, rng) -> np.ndarray:
+    """Warm start near the saddle y: the first of the retracted steps of
+    length 1e-2, 1e-3, 1e-4 along z that lowers the cost, else along a
+    random tangent; y itself when no step does.  A missing z is a random
+    tangent too, drawn first."""
+    M = p.manifold
+    f0 = get_cost(p, y)
+    for direction in (z, None):
+        if direction is None:
+            direction = M.rand_tangent(y, rng)
+        for t in (1e-2, 1e-3, 1e-4):
+            cand = M.retract(y, direction, t)
+            if get_cost(p, cand) < f0:
+                return cand
+    return y

@@ -7,6 +7,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+import numpy as np
+
+from ..problem import CacheStore
+
 # Stop reasons
 GRADIENT_TOLERANCE = "gradient_tolerance"
 MAX_ITER = "max_iter"
@@ -83,6 +87,31 @@ class RunResult:
     stop_reason: str
     history: List[IterationRecord]
     counters: dict = field(default_factory=dict)
+
+
+def start_run(p, x0, opts: Optional[SolverOptions], rng):
+    """Common solver prologue: returns (opts, store, x, t_start).
+
+    Missing options default to ``SolverOptions()``, a missing start point
+    is drawn from ``rng`` (a seed-0 generator when that is missing too).
+    """
+    opts = opts if opts is not None else SolverOptions()
+    store = CacheStore(caching=opts.caching)
+    x = x0 if x0 is not None else p.manifold.rand_point(
+        rng if rng is not None else np.random.default_rng(0)
+    )
+    return opts, store, x, opts.clock()
+
+
+def finish_run(x, f, gnorm, reason, history, store: CacheStore) -> RunResult:
+    return RunResult(
+        x_final=x,
+        cost_final=f,
+        grad_norm_final=gnorm,
+        stop_reason=reason,
+        history=history,
+        counters=store.counters(),
+    )
 
 
 def shared_stopping(record: IterationRecord, opts: SolverOptions):

@@ -13,23 +13,16 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..exceptions import DegenerateStepError, RankCollapseError
-from ..problem import (
-    CacheStore,
-    ProblemDef,
-    apply_precond,
-    get_cost,
-    get_gradient,
-    get_hessian,
-)
+from ..problem import ProblemDef, apply_precond, get_cost, get_gradient, get_hessian
 from .core import (
     IterationRecord,
     RunResult,
     SolverOptions,
     emit_record,
+    finish_run,
     shared_stopping,
+    start_run,
 )
 
 # tCG stop flags
@@ -118,11 +111,8 @@ def trust_regions(
 ) -> RunResult:
     """Riemannian trust-region solver (globally convergent; locally
     quadratic when an exact Hessian is available)."""
-    opts = opts if opts is not None else SolverOptions()
+    opts, store, x, t_start = start_run(p, x0, opts, rng)
     M = p.manifold
-    store = CacheStore(caching=opts.caching)
-    x = x0 if x0 is not None else M.rand_point(rng if rng is not None else np.random.default_rng(0))
-    t_start = opts.clock()
 
     delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
     delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
@@ -148,14 +138,7 @@ def trust_regions(
         emit_record(rec, opts)
         stop, reason = shared_stopping(rec, opts)
         if stop:
-            return RunResult(
-                x_final=x,
-                cost_final=f,
-                grad_norm_final=gnorm,
-                stop_reason=reason,
-                history=history,
-                counters=store.counters(),
-            )
+            return finish_run(x, f, gnorm, reason, history, store)
         if gnorm <= opts.tol_grad_norm:
             # Critical already; idle until min_iter allows the stop.
             step_size, inner, rho = 0.0, None, None
@@ -198,8 +181,7 @@ def trust_regions(
             f = f_prop
             g = get_gradient(p, x, store, tok)
             gnorm = M.norm(x, g)
-            store.discard_except([tok])
         else:
             step_size = 0.0
-            store.discard_except([tok])
+        store.discard_except([tok])
         it += 1

@@ -237,3 +237,20 @@ def test_export_slope_csv_bad_path():
     rep = check_gradient(p, rng=np.random.default_rng(19))
     with pytest.raises(OSError, match="no/such/dir"):
         export_slope_csv(rep, "/no/such/dir/slope.csv")
+
+
+def test_check_hessian_runs_egrad_once():
+    # Every Hessian-vector product is taken at the same point, so the
+    # user's egrad there runs once and is shared through one cache entry.
+    M = sphere_factory(6)
+    base = make_quadratic_problem(M, seed=16)
+    calls = []
+
+    def egrad(x):
+        calls.append(1)
+        return base.egrad(x)
+
+    p = ProblemDef(manifold=M, cost=base.cost, egrad=egrad, ehess=base.ehess)
+    rep = check_hessian(p, rng=np.random.default_rng(17))
+    assert rep.verdict
+    assert len(calls) == 1

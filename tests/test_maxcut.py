@@ -448,3 +448,38 @@ def test_cli_solver_choices(tmp_path, capsys):
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["cut"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--trials", "0"], "--trials: must be >= 1"),
+        (["solve", "--max-iter", "0"], "--max-iter: must be >= 3"),
+        (["solve", "--max-iter", "2"], "--max-iter: must be >= 3"),
+        (["solve", "--rank", "0"], "--rank: must be >= 1"),
+        (["solve", "--rank", "4"], "--rank 4 exceeds the 3 nodes"),
+        (["check", "--rank", "0"], "--rank: must be >= 1"),
+        (["check", "--rank", "4"], "--rank 4 exceeds the 3 nodes"),
+        (["solve", "--tol", "nan"], "--tol: must be positive and finite"),
+        (["solve", "--tol", "0"], "--tol: must be positive and finite"),
+        (["solve", "--tol=-1e-6"], "--tol: must be positive and finite"),
+        (["solve", "--tol", "inf"], "--tol: must be positive and finite"),
+    ],
+)
+def test_cli_out_of_range_option_exits_one(tmp_path, capsys, argv, message):
+    path = _write_k3(tmp_path)
+    code = run_cli(argv[:1] + ["--graph", path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error:" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_escalation_accepts_rank_above_n(tmp_path, capsys):
+    # Escalation caps the starting rank at n instead of rejecting it.
+    path = _write_k3(tmp_path)
+    code = run_cli(["solve", "--graph", path, "--rank", "5", "--escalate",
+                    "--out", "json", "--timing", "none"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["rank_used"] == 3

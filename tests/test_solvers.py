@@ -372,3 +372,13 @@ def test_counters_reported_in_result():
     c = res.counters
     assert c["cost_evals"] > 0 and c["grad_evals"] > 0
     assert c["hess_evals"] == 0
+
+
+def test_cg_evaluates_gradient_once_per_point():
+    # The gradient CG takes at the new point for beta is the one the next
+    # iteration reads.
+    p, _ = rayleigh_problem(10, seed=19)
+    res = conjugate_gradient(
+        p, rng=np.random.default_rng(20), opts=SolverOptions(clock=lambda: 0.0)
+    )
+    assert res.counters["grad_evals"] == len(res.history)
