@@ -4,7 +4,9 @@ If the gradient is correct, the remainder f(R_x(t u)) - f(x) - t <g, u>
 shrinks like t^2; if the Hessian is also correct (and the retraction is
 second order), subtracting the t^2/2 <u, H u> term leaves a t^3 remainder.
 The checks sample the remainder over log-spaced t, fit a log-log slope over
-the cleanest window, and compare it to the expected order.  Exactly linear
+the cleanest window, and pass when it reaches the expected order: a wrong
+derivative leaves a remainder one order lower, while a correct one whose
+next Taylor term vanishes falls faster than expected.  Exactly linear
 or quadratic costs produce remainders at machine precision; those pass
 through a dedicated branch instead of the slope fit.
 """
@@ -44,10 +46,9 @@ class SlopeReport:
 
     def summary(self) -> str:
         status = "PASS" if self.verdict else "FAIL"
-        lo, hi = self.expected_slope_range
         lines = [
             f"{status}: fitted slope {self.fitted_slope:.4f} "
-            f"(expected in [{lo}, {hi}])"
+            f"(expected at least {self.expected_slope_range[0]})"
             + (" [exact-remainder branch]" if self.exact_branch else ""),
             f"window: t in [{self.window[0]:.3e}, {self.window[1]:.3e}]",
             f"tangency residual: {self.tangency_residual:.3e}",
@@ -95,7 +96,8 @@ def _resolve_point_direction(p: ProblemDef, x, u, rng):
 
 def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeReport:
     """Slope test of |remainder(t, f(R_x(t u)))| over log-spaced t, plus the
-    tangency residual of v.  Exact remainders pass without the slope."""
+    tangency residual of v.  The fitted slope passes from the low end of
+    ``expected`` up; exact remainders pass without the slope."""
     M = p.manifold
     ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
     rem = np.array([abs(remainder(t, get_cost(p, M.retract(x, u, t)))) for t in ts])
@@ -108,7 +110,7 @@ def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeRepo
         fitted_slope=slope,
         window=span,
         tangency_residual=float(tangency),
-        verdict=exact or expected[0] <= slope <= expected[1],
+        verdict=exact or slope >= expected[0],
         expected_slope_range=expected,
         exact_branch=exact,
     )

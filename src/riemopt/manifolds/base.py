@@ -38,9 +38,13 @@ class ManifoldDescriptor:
             and line-search steps.
         second_order_retraction: True when the retraction matches geodesics
             to second order (gates the expected slope in Hessian checks).
-        ehess2rhess: None when the manifold has no exact Euclidean-to-
-            Riemannian Hessian conversion (callers fall back to finite
-            differences).
+        ehess2rhess: ``ehess2rhess(x, egrad)`` returns the Hessian
+            conversion at the point x, an operator ``op(ehess_u, u)`` that
+            maps the Euclidean Hessian applied to u to the Riemannian one.
+            The curvature term depends on x and egrad only, so it is
+            computed once per point and ``get_hessian`` caches the operator
+            per point like egrad.  None when the manifold has no exact
+            conversion (callers fall back to finite differences).
     """
 
     name: str
@@ -57,7 +61,9 @@ class ManifoldDescriptor:
     lincomb: Callable[..., Tangent]
     tangent_to_ambient: Callable[[Point, Tangent], Ambient]
     constraint_violation: Callable[[Point], float]
-    ehess2rhess: Optional[Callable[[Point, Ambient, Ambient, Tangent], Tangent]] = None
+    ehess2rhess: Optional[
+        Callable[[Point, Ambient], Callable[[Ambient, Tangent], Tangent]]
+    ] = None
     second_order_retraction: bool = True
 
     def __post_init__(self) -> None:
@@ -84,11 +90,12 @@ class ManifoldDescriptor:
     def apply_ehess2rhess(
         self, x: Point, egrad: Ambient, ehess_u: Ambient, u: Tangent
     ) -> Tangent:
+        """One-shot conversion: ``ehess2rhess(x, egrad)(ehess_u, u)``."""
         if self.ehess2rhess is None:
             raise UnsupportedOperationError(
                 f"{self.name} has no exact ehess2rhess; use the FD Hessian"
             )
-        return self.ehess2rhess(x, egrad, ehess_u, u)
+        return self.ehess2rhess(x, egrad)(ehess_u, u)
 
 
 # --- helpers shared by the dense-array factories -------------------------

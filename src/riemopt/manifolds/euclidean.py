@@ -10,6 +10,10 @@ import numpy as np
 from .base import ManifoldDescriptor, check_shape, embedded_descriptor
 
 
+def _flat_hessian(ehess_u, u):
+    return np.asarray(ehess_u, dtype=float)
+
+
 def euclidean_factory(*shape: int) -> ManifoldDescriptor:
     """Flat R^{shape} with all geometry operations trivial."""
     if len(shape) == 0 or any(s < 1 for s in shape):
@@ -30,7 +34,7 @@ def euclidean_factory(*shape: int) -> ManifoldDescriptor:
         dim=dim,
         typical_dist=math.sqrt(dim),
         retract=retract,
-        ehess2rhess=lambda x, egrad, ehess_u, u: np.asarray(ehess_u, dtype=float),
+        ehess2rhess=lambda x, egrad: _flat_hessian,
         rand_point=lambda rng: rng.standard_normal(shape),
         transport=lambda x, y, u: u,
         constraint_violation=lambda x: 0.0,
@@ -63,11 +67,13 @@ def product_factory(components: Sequence[ManifoldDescriptor]) -> ManifoldDescrip
     ehess2rhess = None
     if all(c.ehess2rhess is not None for c in comps):
 
-        def ehess2rhess(x, egrad, ehess_u, u):  # noqa: F811
-            return tuple(
-                c.ehess2rhess(xi, gi, hi, ui)
-                for c, xi, gi, hi, ui in zip(comps, x, egrad, ehess_u, u)
-            )
+        def ehess2rhess(x, egrad):  # noqa: F811
+            ops = tuple(c.ehess2rhess(xi, gi) for c, xi, gi in zip(comps, x, egrad))
+
+            def hess(ehess_u, u):
+                return tuple(op(hi, ui) for op, hi, ui in zip(ops, ehess_u, u))
+
+            return hess
 
     def lincomb(x, a, u, b=0.0, v=None):
         if v is None:

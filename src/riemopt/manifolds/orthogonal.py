@@ -51,8 +51,13 @@ def _orthonormal_factory(n: int, p: int, proj, fix=lambda q: q, **fields):
             return x
         return q_factor(x + t * u)
 
-    def ehess2rhess(x, egrad, ehess_u, u):
-        return proj(x, ehess_u - u @ _sym(x.T @ egrad))
+    def ehess2rhess(x, egrad):
+        s = _sym(x.T @ egrad)
+
+        def hess(ehess_u, u):
+            return proj(x, ehess_u - u @ s)
+
+        return hess
 
     defaults = dict(
         retract=retract,
@@ -95,8 +100,13 @@ def grassmann_factory(n: int, p: int) -> ManifoldDescriptor:
         check_shape(x, z, "grassmann proj")
         return z - x @ (x.T @ z)
 
-    def ehess2rhess(x, egrad, ehess_u, u):
-        return proj(x, ehess_u) - u @ (x.T @ egrad)
+    def ehess2rhess(x, egrad):
+        xg = x.T @ egrad
+
+        def hess(ehess_u, u):
+            return proj(x, ehess_u) - u @ xg
+
+        return hess
 
     return _orthonormal_factory(
         n, p, proj,

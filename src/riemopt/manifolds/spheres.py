@@ -42,11 +42,11 @@ def _normalized_factory(name: str, shape, axis, dim: int, typical_dist: float):
     proj_what, retract_what = f"{what} proj", f"{what} retract"
 
     def along(x, z):
-        # <x, z> per slice.  The ndarray.sum method gives np.sum's bits
-        # without its dispatch cost.
+        # <x, z> per slice.  np.add.reduce gives np.sum's bits without
+        # its dispatch cost.
         if axis is None:
             return trace_inner(x, x, z)
-        return (x * z).sum(axis=axis, keepdims=True)
+        return np.add.reduce(x * z, axis=axis, keepdims=True)
 
     def proj(x, z):
         check_shape(x, z, proj_what)
@@ -57,8 +57,13 @@ def _normalized_factory(name: str, shape, axis, dim: int, typical_dist: float):
             return x
         return _normalize_axis(x + t * u, axis, retract_what)
 
-    def ehess2rhess(x, egrad, ehess_u, u):
-        return proj(x, ehess_u) - u * along(x, egrad)
+    def ehess2rhess(x, egrad):
+        xg = along(x, egrad)
+
+        def hess(ehess_u, u):
+            return proj(x, ehess_u) - u * xg
+
+        return hess
 
     return embedded_descriptor(
         shape,

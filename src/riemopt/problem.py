@@ -49,7 +49,8 @@ class CacheStore:
     Entries live under integer point tokens issued by :meth:`token`; at most
     ``capacity`` recent tokens are retained (solvers only revisit the
     current point and one candidate).  An entry holds the cost, the
-    Riemannian gradient and the user's Euclidean gradient, so ``egrad`` runs
+    Riemannian gradient, the user's Euclidean gradient and the manifold's
+    Hessian conversion ``ehess2rhess(x, egrad)`` at the point, so both run
     once per point however many Hessian-vector products follow.  Disabling
     caching keeps the counters but stores nothing, so every query is a miss.
     """
@@ -162,6 +163,14 @@ def _euclidean_gradient(p: ProblemDef, x: Point, entry: dict):
     return entry["egrad"]
 
 
+def _hessian_conversion(p: ProblemDef, x: Point, entry: dict):
+    """The manifold's Hessian conversion at x, kept in the point's cache
+    entry next to the egrad it is built from."""
+    if "ehess2rhess" not in entry:
+        entry["ehess2rhess"] = p.manifold.ehess2rhess(x, _euclidean_gradient(p, x, entry))
+    return entry["ehess2rhess"]
+
+
 def get_gradient(
     p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[int] = None
 ) -> Tangent:
@@ -195,9 +204,11 @@ def get_hessian(
     Resolution order: rhess, then converted ehess, then the FD
     approximation.  Manifolds without an exact conversion (fixed rank)
     silently fall back to FD; this is logged once per store.  The
-    conversion needs the Euclidean gradient at x: it is taken from the
-    point's cache entry, so with caching on the user ``egrad`` runs once per
-    point, and with caching off once per call.
+    conversion ``ehess2rhess(x, egrad)`` of the point is built from the
+    Euclidean gradient at x and kept in the point's cache entry with it, so
+    with caching on the user ``egrad`` and the conversion's curvature term
+    are computed once per point, and with caching off (or without a store
+    and token) once per call.
     """
     entry = store.entry(token) if store is not None else {"user": {}}
     if p.rhess is not None:
@@ -210,11 +221,11 @@ def get_hessian(
                 raise MissingDerivativeError(
                     "'ehess' conversion needs 'egrad' on this problem"
                 )
-            eg = _euclidean_gradient(p, x, entry)
+            hess = _hessian_conversion(p, x, entry)
             eh = _call(p, "ehess", p.ehess, (x, u), entry["user"])
             if store is not None:
                 store.hess_evals += 1
-            return p.manifold.ehess2rhess(x, eg, eh, u)
+            return hess(eh, u)
         if store is not None and not store._fd_fallback_logged:
             store._fd_fallback_logged = True
             logger.info(

@@ -99,10 +99,10 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
         if stop:
             return finish_run(x, f, gnorm, reason, history, store)
         if gnorm <= opts.tol_grad_norm:
-            # Already critical; idle until min_iter allows the stop.
+            # Already critical; idle at the same point (and cache token)
+            # until min_iter allows the stop.
             step_size = 0.0
             d = None
-            tok = store.token()
             it += 1
             continue
 

@@ -14,7 +14,7 @@ import math
 from typing import Optional
 
 from ..exceptions import DegenerateStepError, RankCollapseError
-from ..problem import ProblemDef, apply_precond, get_cost, get_gradient, get_hessian
+from ..problem import ProblemDef, get_cost, get_gradient, get_hessian
 from .core import (
     IterationRecord,
     RunResult,
@@ -46,7 +46,8 @@ def tcg_subsolver(
 
     Returns (eta, H_eta, stop_flag, inner_iterations).  The residual target
     is ||r|| <= ||r0|| * min(||r0||^theta, kappa), the usual switch between
-    a superlinear and a linear convergence goal.
+    a superlinear and a linear convergence goal.  Without a preconditioner
+    z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
@@ -54,16 +55,21 @@ def tcg_subsolver(
     theta = opts.tcg_theta if theta is None else theta
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
 
+    precond = p.precond
     eta = M.zero_tangent(x)
     h_eta = M.zero_tangent(x)
     r = g
-    z = apply_precond(p, x, r)
-    r_z = M.inner(x, r, z)
+    r_r = M.inner(x, r, r)
+    if precond is None:
+        z, r_z = r, r_r
+    else:
+        z = precond(x, r)
+        r_z = M.inner(x, r, z)
     d = M.lincomb(x, -1.0, z)
     e_pe = 0.0
     e_pd = 0.0
     d_pd = r_z
-    norm_r0 = M.norm(x, r)
+    norm_r0 = math.sqrt(max(r_r, 0.0))
     delta2 = delta * delta
 
     inner_iters = 0
@@ -89,12 +95,16 @@ def tcg_subsolver(
         eta = M.lincomb(x, 1.0, eta, alpha, d)
         h_eta = M.lincomb(x, 1.0, h_eta, alpha, h_d)
         r = M.lincomb(x, 1.0, r, alpha, h_d)
-        norm_r = M.norm(x, r)
+        r_r = M.inner(x, r, r)
+        norm_r = math.sqrt(max(r_r, 0.0))
         if norm_r <= norm_r0 * min(norm_r0**theta, kappa):
             stop = TCG_RESIDUAL
             break
-        z = apply_precond(p, x, r)
-        r_z_new = M.inner(x, r, z)
+        if precond is None:
+            z, r_z_new = r, r_r
+        else:
+            z = precond(x, r)
+            r_z_new = M.inner(x, r, z)
         beta = r_z_new / r_z
         r_z = r_z_new
         e_pd = beta * (e_pd + alpha * d_pd)

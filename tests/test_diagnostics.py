@@ -12,6 +12,7 @@ from riemopt import (
     euclidean_factory,
     export_slope_csv,
     fit_loglog_slope,
+    product_factory,
     sphere_factory,
     stiefel_factory,
 )
@@ -185,6 +186,25 @@ def test_check_hessian_second_order_retraction_slope_three():
     p = make_quadratic_problem(M, seed=13)
     rep = check_hessian(p, rng=np.random.default_rng(14))
     assert rep.expected_slope_range == (2.7, 3.3)
+    assert rep.verdict
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [
+        (lambda: elliptope_factory(12, 3), 39),
+        (lambda: product_factory([stiefel_factory(5, 2), sphere_factory(6)]), 2),
+    ],
+    ids=["Elliptope(12,3)", "Product(Stiefel(5,2), Sphere(6))"],
+)
+def test_check_hessian_passes_slope_above_expected_range(make, seed):
+    # Exact Hessians whose remainder falls faster than the expected order:
+    # the next Taylor term vanishes along u (on the product, the first-order
+    # retraction's slope-2 term happens to be negligible).
+    p = make_quadratic_problem(make(), seed=seed)
+    rep = check_hessian(p, rng=np.random.default_rng(seed + 1))
+    assert not rep.exact_branch
+    assert rep.fitted_slope > rep.expected_slope_range[1]
     assert rep.verdict
 
 

@@ -1,6 +1,9 @@
 """The hot primitives of the trust-region inner loop against the formulas
 they replaced: every value must agree bit for bit, and the per-point egrad
-cache must change call counts only."""
+and Hessian-conversion caches must change call counts only."""
+
+import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -8,16 +11,25 @@ import pytest
 from riemopt import (
     CacheStore,
     ProblemDef,
+    SolverOptions,
     elliptope_factory,
+    euclidean_factory,
     fixed_rank_factory,
     get_gradient,
     get_hessian,
     oblique_factory,
+    product_factory,
+    rotations_factory,
     sphere_factory,
+    stiefel_factory,
+    tcg_subsolver,
+    trust_regions,
 )
 from riemopt.exceptions import DimensionMismatchError
 from riemopt.manifolds.base import array_lincomb, check_shape, trace_inner
-from riemopt.maxcut import Graph, laplacian, round_cut
+from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
+
+from _helpers import manifold_matrix, rayleigh_problem
 
 
 def _pairs(rng):
@@ -99,7 +111,7 @@ def test_row_and_column_sums_match_np_sum(M, axis):
         hess_old = (eh - x * np.sum(x * eh, axis=axis, keepdims=True)) - u * np.sum(
             x * eg, axis=axis, keepdims=True
         )
-        assert np.array_equal(M.ehess2rhess(x, eg, eh, u), hess_old)
+        assert np.array_equal(M.apply_ehess2rhess(x, eg, eh, u), hess_old)
 
 
 # --- one egrad per point ------------------------------------------------------
@@ -162,6 +174,125 @@ def test_hessian_first_then_gradient_shares_egrad():
     g = get_gradient(p, x, store, tok)
     assert calls["egrad"] == 1
     assert np.array_equal(g, p.manifold.egrad2rgrad(x, p.egrad(x)))
+
+
+# --- the Hessian conversion, built once per point --------------------------------
+
+
+def _sym(a):
+    return (a + a.T) / 2.0
+
+
+def _ehess2rhess_reference(M, x, egrad, ehess_u, u):
+    """The four-argument conversions that the per-point operator replaced."""
+    kind = M.name.split("(")[0]
+    if kind == "Product":
+        return tuple(
+            _ehess2rhess_reference(c, xi, gi, hi, ui)
+            for c, xi, gi, hi, ui in zip(PRODUCT_COMPONENTS[M.name], x, egrad, ehess_u, u)
+        )
+    if kind == "Euclidean":
+        return np.asarray(ehess_u, dtype=float)
+    if kind in ("Sphere", "Spectrahedron"):
+        return M.proj(x, ehess_u) - u * trace_inner(x, x, egrad)
+    if kind in ("Oblique", "Elliptope"):
+        axis = 0 if kind == "Oblique" else 1
+        return M.proj(x, ehess_u) - u * (x * egrad).sum(axis=axis, keepdims=True)
+    if kind in ("Stiefel", "Rotations"):
+        return M.proj(x, ehess_u - u @ _sym(x.T @ egrad))
+    if kind == "Grassmann":
+        return M.proj(x, ehess_u) - u @ (x.T @ egrad)
+    raise AssertionError(f"no reference conversion for {M.name}")
+
+
+# The products of manifold_matrix(), by name, with their components.
+PRODUCT_COMPONENTS = {
+    product_factory(comps).name: comps
+    for comps in [
+        [sphere_factory(3), euclidean_factory(2)],
+        [stiefel_factory(4, 2), sphere_factory(5)],
+        [oblique_factory(3, 2), rotations_factory(3)],
+    ]
+}
+EXACT = [M for M in manifold_matrix() if M.ehess2rhess is not None]
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(ai, bi) for ai, bi in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("M", EXACT, ids=[M.name for M in EXACT])
+def test_hessian_operator_matches_four_argument_formula(M):
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = M.rand_point(rng)
+        eg, eh = M.rand_ambient(x, rng), M.rand_ambient(x, rng)
+        hess = M.ehess2rhess(x, eg)
+        for _ in range(3):  # one operator, several directions
+            u = M.proj(x, M.rand_ambient(x, rng))
+            old = _ehess2rhess_reference(M, x, eg, eh, u)
+            assert _same(hess(eh, u), old)
+            assert _same(M.apply_ehess2rhess(x, eg, eh, u), old)
+
+
+def _maxcut_problem(seed):
+    rng = np.random.default_rng(seed)
+    L = laplacian(_random_graph(40, 100, rng, weighted=True))
+    p = build_problem(L, 4)
+    return p, p.manifold.rand_point(rng)
+
+
+def test_hessian_operator_built_once_per_tcg_call(monkeypatch):
+    p, x0 = _maxcut_problem(9)
+    built = []
+
+    def counted(x, egrad):
+        built.append(1)
+        return p.manifold.ehess2rhess(x, egrad)
+
+    p_counted = dataclasses.replace(
+        p, manifold=dataclasses.replace(p.manifold, ehess2rhess=counted)
+    )
+    opts = SolverOptions(clock=lambda: 0.0)
+    ref = trust_regions(p, x0, opts)
+
+    inner = []  # inner iterations of each tCG call
+
+    def counted_tcg(*args, **kwargs):
+        out = tcg_subsolver(*args, **kwargs)
+        inner.append(out[3])
+        return out
+
+    tr_module = importlib.import_module("riemopt.solvers.trust_regions")
+    monkeypatch.setattr(tr_module, "tcg_subsolver", counted_tcg)
+    res = trust_regions(p_counted, x0, opts)
+    assert 0 < len(built) <= len(inner)
+    assert res.counters == ref.counters
+    assert res.counters["hess_evals"] == sum(inner)  # one product per step
+    assert np.array_equal(res.x_final, ref.x_final)
+
+
+def test_tcg_identity_preconditioner_matches_none():
+    # Without a preconditioner one <r, r> serves as both ||r||^2 and <r, z>.
+    cases = [rayleigh_problem(12, seed=21), _maxcut_problem(23)]
+    stops = set()
+    for p, _ in cases:
+        M = p.manifold
+        p_id = dataclasses.replace(p, precond=lambda x, u: u)
+        rng = np.random.default_rng(24)
+        for delta in (1e-3, 0.3, 10.0):
+            for _ in range(3):
+                x = M.rand_point(rng)
+                g = get_gradient(p, x)
+                eta, h_eta, stop, inner = tcg_subsolver(p, x, g, delta)
+                eta_id, h_eta_id, stop_id, inner_id = tcg_subsolver(p_id, x, g, delta)
+                assert (stop, inner) == (stop_id, inner_id)
+                assert np.array_equal(eta, eta_id)
+                assert np.array_equal(h_eta, h_eta_id)
+                stops.add(stop)
+    assert len(stops) >= 2
 
 
 # --- batched rounding -----------------------------------------------------------

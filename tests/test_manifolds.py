@@ -148,11 +148,11 @@ def test_ehess2rhess_examples():
     egrad = np.array([3.0, 4.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(
-        S.ehess2rhess(e1, egrad, np.zeros(3), u), [0.0, -3.0, 0.0]
+        S.apply_ehess2rhess(e1, egrad, np.zeros(3), u), [0.0, -3.0, 0.0]
     )
     E = euclidean_factory(3)
     h = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(E.ehess2rhess(np.zeros(3), h, h, h), h)
+    np.testing.assert_allclose(E.apply_ehess2rhess(np.zeros(3), h, h, h), h)
 
 
 def test_fixed_rank_ehess_unsupported():

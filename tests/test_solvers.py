@@ -382,3 +382,16 @@ def test_cg_evaluates_gradient_once_per_point():
         p, rng=np.random.default_rng(20), opts=SolverOptions(clock=lambda: 0.0)
     )
     assert res.counters["grad_evals"] == len(res.history)
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
+def test_idle_records_reuse_the_point_token(solver):
+    # Started at the minimizer, the solver idles at one point until
+    # min_iter allows the stop; the cost and gradient there are cached.
+    p = _euclid_quadratic(np.eye(3))
+    opts = SolverOptions(clock=lambda: 0.0)
+    res = solver(p, np.zeros(3), opts)
+    assert res.stop_reason == GRADIENT_TOLERANCE
+    assert len(res.history) == opts.min_iter + 1
+    assert res.counters["cost_evals"] == 1
+    assert res.counters["grad_evals"] == 1
