@@ -21,7 +21,7 @@ import numpy as np
 
 from ..diagnostics import check_gradient, check_hessian
 from ..solvers import SolverOptions, history_to_csv
-from .graph import Graph, laplacian, load_graph
+from .graph import laplacian, load_graph
 from .solve import build_problem, rank_escalation, round_cut, solve_rank_r, certify
 
 
@@ -86,7 +86,7 @@ def _solver_options(args) -> SolverOptions:
     return opts
 
 
-def _emit_solve(args, g: Graph, result_fields: dict, histories) -> None:
+def _emit_solve(args, result_fields: dict, histories) -> None:
     if args.history:
         records = [rec for run in histories for rec in run.history]
         history_to_csv(records, args.history)
@@ -171,7 +171,7 @@ def run_cli(argv=None) -> int:
         "iterations": iterations,
         "time_seconds": elapsed,
     }
-    _emit_solve(args, g, fields, histories)
+    _emit_solve(args, fields, histories)
     if args.escalate and not certified:
         return 2
     return 0

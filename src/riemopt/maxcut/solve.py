@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..manifolds import elliptope_factory
-from ..problem import CacheStore, ProblemDef, get_cost, get_gradient
+from ..problem import ProblemDef, get_cost
 from ..solvers import (
     RunResult,
     SolverOptions,
@@ -26,6 +26,7 @@ from ..solvers import (
     steepest_descent,
     trust_regions,
 )
+from .graph import cut_value_from_signs
 
 SOLVERS = {
     "tr": trust_regions,
@@ -102,13 +103,7 @@ def solve_rank_r(
     solver: str = "tr",
 ) -> Tuple[np.ndarray, RunResult]:
     """Optimize the rank-r relaxation from a random (or given) start."""
-    if r < 1:
-        raise ValueError(f"solve_rank_r: rank must be >= 1, got {r}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    p = build_problem(L, r)
-    if x0 is None:
-        x0 = p.manifold.rand_point(rng)
-    result = SOLVERS[solver](p, x0, opts)
+    result = SOLVERS[solver](build_problem(L, r), x0, opts, rng)
     return result.x_final, result
 
 
@@ -128,7 +123,7 @@ def round_cut(
     S = np.where(Y @ Z.T >= 0, 1.0, -1.0)  # column k: signs of trial k
     vals = (S * (L @ S)).sum(axis=0)
     s = S[:, int(np.argmax(vals))].copy()
-    return s, float(s @ L @ s) / 4.0
+    return s, cut_value_from_signs(L, s)
 
 
 def certify(
@@ -141,14 +136,13 @@ def certify(
     induced 1-norm keeps the tolerance scale-aware); the bound is
     trace(L Y Y')/4.
     """
-    p = build_problem(L, Y.shape[1])
-    g = get_gradient(p, Y)
-    gnorm = p.manifold.norm(Y, g)
+    M = elliptope_factory(*Y.shape)
+    ly = L @ Y
+    gnorm = M.norm(Y, M.proj(Y, ly * -0.5))  # the Riemannian gradient's norm
     if gnorm > 1e-6 * max(1.0, float(np.linalg.norm(L))):
         raise ValueError(
             f"certify: Y is not critical (gradient norm {gnorm:.3e})"
         )
-    ly = L @ Y
     d = np.sum(ly * Y, axis=1)
     S = np.diag(d) - L
     evals, evecs = np.linalg.eigh(S)

@@ -1,23 +1,22 @@
-"""Problem description, derivative resolution and per-point caching.
+"""Problem description, derivative routes and per-point caching.
 
 A :class:`ProblemDef` bundles a manifold with user callables for the cost
-and (optionally) its derivatives.  ``get_cost`` / ``get_gradient`` /
-``get_hessian`` resolve the best available derivative information:
-Riemannian callables win over Euclidean ones, and Hessians fall back to a
-finite-difference approximation built from the gradient.
+and (optionally) its derivatives.  It decides once, when it is built, which
+route ``get_gradient`` and ``get_hessian`` take: Riemannian callables win
+over Euclidean ones, and Hessians fall back to a finite-difference
+approximation built from the gradient.
 
-Caching is keyed by solver-issued point tokens, not by hashing point
-contents: a solver requests a fresh token per candidate point and passes it
-along with the point.  User callables may declare an extra trailing
-parameter to receive a per-point scratch dict, which lets the cost and the
-gradient share intermediate products.
+Caching is keyed by solver-held point tokens, not by hashing point
+contents: a token is the point's cache entry itself, which the solver keeps
+next to the point and drops with it.  User callables may declare an extra
+trailing parameter to receive a per-point scratch dict, which lets the cost
+and the gradient share intermediate products.
 """
 
 from __future__ import annotations
 
 import inspect
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -44,46 +43,25 @@ def _positional_arity(fn: Callable) -> int:
 
 
 class CacheStore:
-    """Per-run cache of cost/gradient values plus evaluation counters.
+    """Evaluation counters of one run, and the issuer of point tokens.
 
-    Entries live under integer point tokens issued by :meth:`token`; at most
-    ``capacity`` recent tokens are retained (solvers only revisit the
-    current point and one candidate).  An entry holds the cost, the
-    Riemannian gradient, the user's Euclidean gradient and the manifold's
-    Hessian conversion ``ehess2rhess(x, egrad)`` at the point, so both run
-    once per point however many Hessian-vector products follow.  Disabling
-    caching keeps the counters but stores nothing, so every query is a miss.
+    A token is the point's cache entry itself: :meth:`token` returns a fresh
+    one, or None when caching is off.  The solver keeps it next to its point
+    and drops both together; the store holds no points.  An entry holds the
+    cost, the Riemannian gradient, the user's Euclidean gradient and the
+    manifold's Hessian conversion ``ehess2rhess(x, egrad)`` at the point, so
+    each runs once per point however many Hessian-vector products follow.
     """
 
-    def __init__(self, caching: bool = True, capacity: int = 2):
+    def __init__(self, caching: bool = True):
         self.caching = caching
-        self.capacity = capacity
         self.cost_evals = 0
         self.grad_evals = 0
         self.hess_evals = 0
-        self._entries: OrderedDict[int, dict] = OrderedDict()
-        self._next = 0
         self._fd_fallback_logged = False
 
-    def token(self) -> int:
-        tok = self._next
-        self._next += 1
-        if self.caching:
-            self._entries[tok] = {"user": {}}
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return tok
-
-    def entry(self, token: Optional[int]) -> dict:
-        if token is not None and token in self._entries:
-            return self._entries[token]
-        return {"user": {}}  # throwaway: uncached call
-
-    def discard_except(self, tokens) -> None:
-        keep = set(tokens)
-        for tok in list(self._entries):
-            if tok not in keep:
-                del self._entries[tok]
+    def token(self) -> Optional[dict]:
+        return {"user": {}} if self.caching else None
 
     def counters(self) -> dict:
         return {
@@ -100,13 +78,18 @@ class ProblemDef:
     Derivative callables: ``egrad(x)`` returns the Euclidean gradient in
     ambient coordinates, ``rgrad(x)`` a Riemannian (tangent) gradient;
     ``ehess(x, u)`` the directional derivative of the Euclidean gradient
-    along u, ``rhess(x, u)`` the Riemannian Hessian applied to u.  If both
-    Euclidean and Riemannian versions are given, the Riemannian one wins.
+    along u, ``rhess(x, u)`` the Riemannian Hessian applied to u.
     ``precond(x, u)`` must act as a symmetric positive-definite operator on
     each tangent space.
 
+    The routes are decided once, here (``dataclasses.replace`` decides them
+    anew): ``gradient_source`` is ``rgrad``, ``egrad`` or ``missing``, in
+    that order; ``hessian_source`` is ``rhess``, then ``ehess`` (which needs
+    ``egrad`` and the manifold's ``ehess2rhess`` too), then ``fd-fallback``
+    when there is a gradient, else ``unavailable``.
+
     Any callable may take one extra positional parameter to receive the
-    per-point scratch dict managed by the cache store.
+    per-point scratch dict of the point's cache entry.
     """
 
     manifold: ManifoldDescriptor
@@ -116,24 +99,39 @@ class ProblemDef:
     ehess: Optional[Callable] = None
     rhess: Optional[Callable] = None
     precond: Optional[Callable] = None
+    gradient_source: str = field(init=False)
+    hessian_source: str = field(init=False)
 
     def __post_init__(self):
+        arity = {"cost": 2, "egrad": 2, "rgrad": 2, "ehess": 3, "rhess": 3}
         wants = {
-            "cost": self.cost is not None and _positional_arity(self.cost) >= 2,
-            "egrad": self.egrad is not None and _positional_arity(self.egrad) >= 2,
-            "rgrad": self.rgrad is not None and _positional_arity(self.rgrad) >= 2,
-            "ehess": self.ehess is not None and _positional_arity(self.ehess) >= 3,
-            "rhess": self.rhess is not None and _positional_arity(self.rhess) >= 3,
+            name: getattr(self, name) is not None and _positional_arity(getattr(self, name)) >= n
+            for name, n in arity.items()
         }
-        object.__setattr__(self, "_wants_cache", wants)
+        grad = next((name for name in ("rgrad", "egrad") if getattr(self, name) is not None),
+                    "missing")
+        if self.rhess is not None:
+            hess, why = "rhess", None
+        elif self.ehess is None:
+            hess, why = "fd-fallback", "the problem supplies no 'rhess' or 'ehess'"
+        elif self.egrad is None:
+            hess, why = "fd-fallback", "converting 'ehess' needs 'egrad'"
+        elif self.manifold.ehess2rhess is None:
+            hess, why = "fd-fallback", f"{self.manifold.name} has no exact ehess2rhess"
+        else:
+            hess, why = "ehess", None
+        if grad == "missing" and hess == "fd-fallback":
+            hess = "unavailable"
+        # Frozen: the derived fields go straight into the instance dict.
+        vars(self).update(
+            _wants_cache=wants, gradient_source=grad, hessian_source=hess, _fd_reason=why
+        )
 
     def has_gradient(self) -> bool:
-        return self.rgrad is not None or self.egrad is not None
+        return self.gradient_source != "missing"
 
     def has_exact_hessian(self) -> bool:
-        if self.rhess is not None:
-            return True
-        return self.ehess is not None and self.manifold.ehess2rhess is not None
+        return self.hessian_source in ("rhess", "ehess")
 
 
 def _call(p: ProblemDef, which: str, fn: Callable, args, user_cache: dict):
@@ -142,11 +140,15 @@ def _call(p: ProblemDef, which: str, fn: Callable, args, user_cache: dict):
     return fn(*args)
 
 
+def _entry(token: Optional[dict]) -> dict:
+    return token if token is not None else {"user": {}}  # throwaway: uncached
+
+
 def get_cost(
-    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[int] = None
+    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[dict] = None
 ) -> float:
     """Cost at x, cached under the given point token."""
-    entry = store.entry(token) if store is not None else {"user": {}}
+    entry = _entry(token)
     if "cost" in entry:
         return entry["cost"]
     value = float(_call(p, "cost", p.cost, (x,), entry["user"]))
@@ -172,15 +174,15 @@ def _hessian_conversion(p: ProblemDef, x: Point, entry: dict):
 
 
 def get_gradient(
-    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[int] = None
+    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[dict] = None
 ) -> Tangent:
-    """Riemannian gradient at x: rgrad if supplied, else projected egrad."""
-    entry = store.entry(token) if store is not None else {"user": {}}
+    """Riemannian gradient at x: rgrad, or the projected egrad."""
+    entry = _entry(token)
     if "grad" in entry:
         return entry["grad"]
-    if p.rgrad is not None:
+    if p.gradient_source == "rgrad":
         g = _call(p, "rgrad", p.rgrad, (x,), entry["user"])
-    elif p.egrad is not None:
+    elif p.gradient_source == "egrad":
         g = p.manifold.egrad2rgrad(x, _euclidean_gradient(p, x, entry))
     else:
         raise MissingDerivativeError(
@@ -197,43 +199,32 @@ def get_hessian(
     x: Point,
     u: Tangent,
     store: Optional[CacheStore] = None,
-    token: Optional[int] = None,
+    token: Optional[dict] = None,
 ) -> Tangent:
-    """Riemannian Hessian applied to u.
+    """Riemannian Hessian applied to u, along ``p.hessian_source``.
 
-    Resolution order: rhess, then converted ehess, then the FD
-    approximation.  Manifolds without an exact conversion (fixed rank)
-    silently fall back to FD; this is logged once per store.  The
-    conversion ``ehess2rhess(x, egrad)`` of the point is built from the
-    Euclidean gradient at x and kept in the point's cache entry with it, so
-    with caching on the user ``egrad`` and the conversion's curvature term
-    are computed once per point, and with caching off (or without a store
-    and token) once per call.
+    ``ehess`` applies the point's conversion ``ehess2rhess(x, egrad)`` to
+    the user's ehess and keeps it in the point's cache entry next to the
+    Euclidean gradient it is built from: with a token, the user ``egrad``
+    and the conversion run once per point, without one once per call.
+    ``fd-fallback`` differences two gradients and logs once per store why
+    it took that route.
     """
-    entry = store.entry(token) if store is not None else {"user": {}}
-    if p.rhess is not None:
-        if store is not None:
-            store.hess_evals += 1
-        return _call(p, "rhess", p.rhess, (x, u), entry["user"])
-    if p.ehess is not None:
-        if p.manifold.ehess2rhess is not None:
-            if p.egrad is None:
-                raise MissingDerivativeError(
-                    "'ehess' conversion needs 'egrad' on this problem"
-                )
-            hess = _hessian_conversion(p, x, entry)
-            eh = _call(p, "ehess", p.ehess, (x, u), entry["user"])
-            if store is not None:
-                store.hess_evals += 1
-            return hess(eh, u)
-        if store is not None and not store._fd_fallback_logged:
-            store._fd_fallback_logged = True
-            logger.info(
-                "%s has no exact ehess2rhess; using the FD Hessian approximation",
-                p.manifold.name,
-            )
+    if p.hessian_source == "unavailable":
+        raise MissingDerivativeError(
+            "problem supplies no Hessian and no gradient to approximate one"
+        )
     if store is not None:
         store.hess_evals += 1
+    entry = _entry(token)
+    if p.hessian_source == "rhess":
+        return _call(p, "rhess", p.rhess, (x, u), entry["user"])
+    if p.hessian_source == "ehess":
+        hess = _hessian_conversion(p, x, entry)
+        return hess(_call(p, "ehess", p.ehess, (x, u), entry["user"]), u)
+    if store is not None and not store._fd_fallback_logged:
+        store._fd_fallback_logged = True
+        logger.info("using the FD Hessian approximation: %s", p._fd_reason)
     return approx_hessian_fd(p, x, u, store=store, token=token)
 
 
@@ -242,7 +233,7 @@ def approx_hessian_fd(
     x: Point,
     u: Tangent,
     store: Optional[CacheStore] = None,
-    token: Optional[int] = None,
+    token: Optional[dict] = None,
 ) -> Tangent:
     """Finite-difference Hessian from two gradients.
 
@@ -298,35 +289,20 @@ def check_problem(p: ProblemDef, rng=None) -> ProblemReport:
     import numpy as np
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    if p.rgrad is not None:
-        grad_src = "rgrad"
-    elif p.egrad is not None:
-        grad_src = "egrad"
-    else:
-        grad_src = "missing"
-    if p.rhess is not None:
-        hess_src = "rhess"
-    elif p.ehess is not None and p.manifold.ehess2rhess is not None:
-        hess_src = "ehess"
-    elif grad_src != "missing":
-        hess_src = "fd-fallback"
-    else:
-        hess_src = "unavailable"
-
     caps = []
-    if grad_src != "missing":
+    if p.has_gradient():
         caps.append("gradient-based solvers")
         caps.append(
             "Hessian-based solvers"
-            + (" (FD approximation)" if hess_src == "fd-fallback" else "")
+            + (" (FD approximation)" if p.hessian_source == "fd-fallback" else "")
         )
     else:
         caps.append("gradient missing; gradient-based solvers unavailable")
 
     report = ProblemReport(
         has_cost=p.cost is not None,
-        gradient_source=grad_src,
-        hessian_source=hess_src,
+        gradient_source=p.gradient_source,
+        hessian_source=p.hessian_source,
         has_precond=p.precond is not None,
         capabilities=caps,
     )
@@ -337,7 +313,7 @@ def check_problem(p: ProblemDef, rng=None) -> ProblemReport:
         f = get_cost(p, x)
         if not np.isfinite(f):
             report.probe_failures.append(f"cost returned non-finite value {f}")
-        if grad_src != "missing":
+        if p.has_gradient():
             g = get_gradient(p, x)
             resid = M.norm(x, M.lincomb(x, 1.0, g, -1.0, M.proj(x, M.tangent_to_ambient(x, g))))
             if resid > 1e-8 * max(1.0, M.norm(x, g)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -10,6 +11,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..problem import CacheStore
+
+logger = logging.getLogger(__name__)
 
 # Stop reasons
 GRADIENT_TOLERANCE = "gradient_tolerance"
@@ -35,7 +38,6 @@ class SolverOptions:
     tol_grad_norm: float = 1e-6
     max_time_seconds: float = math.inf
     min_iter: int = 3
-    verbosity: int = 0
     stats_callback: Optional[Callable] = None
     stop_callback: Optional[Callable] = None
     caching: bool = True
@@ -128,9 +130,10 @@ def shared_stopping(record: IterationRecord, opts: SolverOptions):
 
 
 def emit_record(record: IterationRecord, opts: SolverOptions) -> None:
+    """Pass the record to the stats callback and log it at DEBUG level."""
     if opts.stats_callback is not None:
         opts.stats_callback(record)
-    if opts.verbosity >= 2:
+    if logger.isEnabledFor(logging.DEBUG):
         extras = ""
         if record.inner_iters is not None:
             extras += f"  inner {record.inner_iters:3d}"
@@ -138,9 +141,9 @@ def emit_record(record: IterationRecord, opts: SolverOptions) -> None:
             extras += f"  Delta {record.delta:.3e}"
         if record.rho is not None:
             extras += f"  rho {record.rho:+.3f}"
-        print(
-            f"{record.iteration:5d}  cost {record.cost:+.12e}"
-            f"  grad {record.grad_norm:.6e}{extras}"
+        logger.debug(
+            "%5d  cost %+.12e  grad %.6e%s",
+            record.iteration, record.cost, record.grad_norm, extras,
         )
 
 

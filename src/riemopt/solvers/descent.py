@@ -144,6 +144,5 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
                 )
             d = M.lincomb(x_new, -1.0, pg_new, beta, d_moved)
         x, tok = x_new, tok_new
-        store.discard_except([tok])
         step_size = t * dnorm
         it += 1

@@ -193,5 +193,4 @@ def trust_regions(
             gnorm = M.norm(x, g)
         else:
             step_size = 0.0
-        store.discard_except([tok])
         it += 1

@@ -483,3 +483,26 @@ def test_cli_escalation_accepts_rank_above_n(tmp_path, capsys):
                     "--out", "json", "--timing", "none"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["rank_used"] == 3
+
+
+class _CountingMatrix(np.ndarray):
+    """A Laplacian that counts the products L @ X taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def test_certify_takes_one_product_with_l():
+    L = laplacian(Graph.from_edges(30, [(i, i % 30 + 1, 1.0) for i in range(1, 31)]
+                                   + [(i, (i + 6) % 30 + 1, 2.0) for i in range(1, 31, 3)]))
+    Y, _ = solve_rank_r(L, 3, rng=np.random.default_rng(40))
+    expected = certify(L, Y)
+    counted = L.view(_CountingMatrix)
+    _CountingMatrix.products = 0
+    got = certify(counted, Y)
+    assert _CountingMatrix.products == 1
+    assert got[:3] == expected[:3]
+    np.testing.assert_array_equal(np.asarray(got[3]), expected[3])

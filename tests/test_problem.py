@@ -82,32 +82,6 @@ def test_cache_never_crosses_tokens():
     assert get_cost(p, 2 * np.ones(4), store, t2) == v2
 
 
-def test_cache_eviction_capacity_two():
-    p, calls, _ = _counting_problem()
-    store = CacheStore()
-    t1 = store.token()
-    get_cost(p, np.ones(4), store, t1)
-    t2 = store.token()
-    get_cost(p, 2 * np.ones(4), store, t2)
-    t3 = store.token()  # evicts t1
-    get_cost(p, 3 * np.ones(4), store, t3)
-    assert calls["cost"] == 3
-    get_cost(p, np.ones(4), store, t1)  # miss: entry is gone
-    assert calls["cost"] == 4
-
-
-def test_discard_except():
-    p, calls, _ = _counting_problem()
-    store = CacheStore()
-    t1, t2 = store.token(), store.token()
-    get_cost(p, np.ones(4), store, t1)
-    get_cost(p, 2 * np.ones(4), store, t2)
-    store.discard_except([t2])
-    get_cost(p, np.ones(4), store, t1)  # miss
-    get_cost(p, 2 * np.ones(4), store, t2)  # hit
-    assert calls["cost"] == 3
-
-
 def test_caching_disabled_counts_every_call():
     p, calls, _ = _counting_problem()
     store = CacheStore(caching=False)

@@ -1,6 +1,7 @@
 """Solver behavior: line-search descent, CG finite termination, truncated CG,
 trust regions, shared stopping, CSV export, and determinism."""
 
+import logging
 import math
 
 import numpy as np
@@ -395,3 +396,18 @@ def test_idle_records_reuse_the_point_token(solver):
     assert len(res.history) == opts.min_iter + 1
     assert res.counters["cost_evals"] == 1
     assert res.counters["grad_evals"] == 1
+
+
+def test_records_are_logged_at_debug_level(caplog):
+    p, _ = rayleigh_problem(5, seed=25)
+    opts = SolverOptions(max_iter=6, clock=lambda: 0.0)
+    with caplog.at_level(logging.INFO, logger="riemopt.solvers.core"):
+        trust_regions(p, opts=opts, rng=np.random.default_rng(26))
+    assert not caplog.records  # not watched at DEBUG: nothing is logged
+    with caplog.at_level(logging.DEBUG, logger="riemopt.solvers.core"):
+        res = trust_regions(p, opts=opts, rng=np.random.default_rng(26))
+    msgs = [r.getMessage() for r in caplog.records if r.name == "riemopt.solvers.core"]
+    assert len(msgs) == len(res.history)
+    first, last = res.history[0], res.history[-1]
+    assert msgs[0] == f"    0  cost {first.cost:+.12e}  grad {first.grad_norm:.6e}  Delta {first.delta:.3e}"
+    assert f"inner {last.inner_iters:3d}" in msgs[-1] and f"rho {last.rho:+.3f}" in msgs[-1]
