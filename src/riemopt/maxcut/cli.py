@@ -39,6 +39,7 @@ def _checked(kind, ok, requirement: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
 _MIN_ITER = SolverOptions().min_iter
 _MAX_ITER = _checked(int, lambda v: v >= _MIN_ITER, f">= {_MIN_ITER}")
 _TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials")
     solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_SEED, default=0)
     solve.add_argument("--solver", choices=("tr", "cg", "sd"), default="tr")
     solve.add_argument("--out", choices=("text", "json", "csv"), default="text")
     solve.add_argument("--history", help="write per-iteration CSV history here")
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="derivative checks on the built problem")
     check.add_argument("--graph", required=True)
     check.add_argument("--rank", type=_POSITIVE_INT, default=2)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_SEED, default=0)
     return parser
 
 
@@ -171,7 +172,11 @@ def run_cli(argv=None) -> int:
         "iterations": iterations,
         "time_seconds": elapsed,
     }
-    _emit_solve(args, fields, histories)
+    try:
+        _emit_solve(args, fields, histories)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.escalate and not certified:
         return 2
     return 0

@@ -5,12 +5,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..problem import CacheStore
+from ..problem import CacheStore, get_cost, get_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +47,6 @@ class SolverOptions:
     ls_sufficient_decrease: float = 1e-4
     ls_max_backtracks: int = 25
     line_search: Optional[Callable] = None
-
-    # conjugate gradients
-    beta_rule: str = "PR+"
 
     # trust regions
     delta_bar: Optional[float] = None
@@ -91,31 +88,6 @@ class RunResult:
     counters: dict = field(default_factory=dict)
 
 
-def start_run(p, x0, opts: Optional[SolverOptions], rng):
-    """Common solver prologue: returns (opts, store, x, t_start).
-
-    Missing options default to ``SolverOptions()``, a missing start point
-    is drawn from ``rng`` (a seed-0 generator when that is missing too).
-    """
-    opts = opts if opts is not None else SolverOptions()
-    store = CacheStore(caching=opts.caching)
-    x = x0 if x0 is not None else p.manifold.rand_point(
-        rng if rng is not None else np.random.default_rng(0)
-    )
-    return opts, store, x, opts.clock()
-
-
-def finish_run(x, f, gnorm, reason, history, store: CacheStore) -> RunResult:
-    return RunResult(
-        x_final=x,
-        cost_final=f,
-        grad_norm_final=gnorm,
-        stop_reason=reason,
-        history=history,
-        counters=store.counters(),
-    )
-
-
 def shared_stopping(record: IterationRecord, opts: SolverOptions):
     """Evaluate the standard stopping criteria, in fixed priority order."""
     if record.grad_norm <= opts.tol_grad_norm and record.iteration >= opts.min_iter:
@@ -147,11 +119,60 @@ def emit_record(record: IterationRecord, opts: SolverOptions) -> None:
         )
 
 
+def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
+    """The outer loop of every solver.
+
+    Missing options default to ``SolverOptions()``, a missing start point
+    is drawn from ``rng`` (a seed-0 generator when that is missing too).
+    ``rule(opts, store)`` returns the solver's step and the first record's
+    ``(step_size, inner_iters, delta, rho)``.  ``step(x, token, f, g,
+    gnorm)`` returns either the next point with its token, cost, gradient,
+    gradient norm and those four record fields, or a stop reason.  The loop
+    carries them forward, so no point is evaluated twice.  A point whose
+    gradient is below tolerance before ``min_iter`` is recorded again,
+    without a step, until the stop is allowed.
+    """
+    opts = opts if opts is not None else SolverOptions()
+    store = CacheStore(caching=opts.caching)
+    M = p.manifold
+    x = x0 if x0 is not None else M.rand_point(
+        rng if rng is not None else np.random.default_rng(0)
+    )
+    t_start = opts.clock()
+    step, (step_size, inner, delta, rho) = rule(opts, store)
+    tok = store.token()
+    f = get_cost(p, x, store, tok)
+    g = get_gradient(p, x, store, tok)
+    gnorm = M.norm(x, g)
+
+    history = []
+    it = 0
+    while True:
+        rec = IterationRecord(
+            it, f, gnorm, opts.clock() - t_start, step_size, inner, delta, rho
+        )
+        history.append(rec)
+        emit_record(rec, opts)
+        stop, reason = shared_stopping(rec, opts)
+        if stop:
+            break
+        if gnorm <= opts.tol_grad_norm:
+            step_size, inner, rho = 0.0, None, None
+        else:
+            out = step(x, tok, f, g, gnorm)
+            if isinstance(out, str):
+                reason = out
+                break
+            x, tok, f, g, gnorm, step_size, inner, delta, rho = out
+        it += 1
+    return RunResult(x, f, gnorm, reason, history, store.counters())
+
+
 CSV_COLUMNS = ["iter", "cost", "gradnorm", "time", "stepsize", "inner", "Delta", "rho"]
 
 
 def history_to_csv(history: List[IterationRecord], path) -> None:
-    """Write the iteration history with a fixed column order."""
+    """Write the iteration history, one column per record field in order."""
 
     def fmt(v) -> str:
         if v is None:
@@ -163,17 +184,7 @@ def history_to_csv(history: List[IterationRecord], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in history:
-            row = [
-                str(r.iteration),
-                fmt(r.cost),
-                fmt(r.grad_norm),
-                fmt(r.elapsed_seconds),
-                fmt(r.step_size),
-                fmt(r.inner_iters),
-                fmt(r.delta),
-                fmt(r.rho),
-            ]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(fmt(v) for v in astuple(r)) + "\n")
 
 
 def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
@@ -183,12 +194,9 @@ def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
     """
     c1 = opts.ls_sufficient_decrease
     t = t0
-    f_new = phi(t)
-    for _ in range(opts.ls_max_backtracks):
+    for _ in range(opts.ls_max_backtracks + 1):
+        f_new = phi(t)
         if f_new <= phi0 + c1 * t * slope:
             return t, f_new
         t *= opts.ls_contraction
-        f_new = phi(t)
-    if f_new <= phi0 + c1 * t * slope:
-        return t, f_new
     return None

@@ -15,15 +15,7 @@ from typing import Optional
 
 from ..exceptions import DegenerateStepError, RankCollapseError
 from ..problem import ProblemDef, get_cost, get_gradient, get_hessian
-from .core import (
-    IterationRecord,
-    RunResult,
-    SolverOptions,
-    emit_record,
-    finish_run,
-    shared_stopping,
-    start_run,
-)
+from .core import RunResult, SolverOptions, iterate
 
 # tCG stop flags
 TCG_RESIDUAL = "residual"
@@ -121,76 +113,43 @@ def trust_regions(
 ) -> RunResult:
     """Riemannian trust-region solver (globally convergent; locally
     quadratic when an exact Hessian is available)."""
-    opts, store, x, t_start = start_run(p, x0, opts, rng)
     M = p.manifold
 
-    delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
-    delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
-    # FD noise defeats a superlinear residual target; aim for linear instead.
-    theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
+    def rule(opts, store):
+        delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
+        delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
+        # FD noise defeats a superlinear residual target; aim for linear instead.
+        theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
 
-    tok = store.token()
-    f = get_cost(p, x, store, tok)
-    g = get_gradient(p, x, store, tok)
-    gnorm = M.norm(x, g)
+        def step(x, tok, f, g, gnorm):
+            nonlocal delta
+            eta, h_eta, tcg_stop, inner = tcg_subsolver(
+                p, x, g, delta, opts, store, tok, theta=theta
+            )
+            try:
+                x_prop = M.retract(x, eta, 1.0)
+                tok_prop = store.token()
+                f_prop = get_cost(p, x_prop, store, tok_prop)
+            except (DegenerateStepError, RankCollapseError):
+                # Step left the representable set; shrink and retry.
+                delta /= 4.0
+                return x, tok, f, g, gnorm, 0.0, inner, delta, -math.inf
 
-    history = []
-    step_size = 0.0
-    inner = None
-    rho = None
-    it = 0
-    while True:
-        rec = IterationRecord(
-            it, f, gnorm, opts.clock() - t_start, step_size,
-            inner_iters=inner, delta=delta, rho=rho,
-        )
-        history.append(rec)
-        emit_record(rec, opts)
-        stop, reason = shared_stopping(rec, opts)
-        if stop:
-            return finish_run(x, f, gnorm, reason, history, store)
-        if gnorm <= opts.tol_grad_norm:
-            # Critical already; idle until min_iter allows the stop.
-            step_size, inner, rho = 0.0, None, None
-            it += 1
-            continue
+            model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
+            reg = opts.rho_regularization * max(1.0, abs(f))
+            rho = (f - f_prop + reg) / (model_decrease + reg)
 
-        eta, h_eta, tcg_stop, inner = tcg_subsolver(
-            p, x, g, delta, opts, store, tok, theta=theta
-        )
-        try:
-            x_prop = M.retract(x, eta, 1.0)
-            tok_prop = store.token()
-            f_prop = get_cost(p, x_prop, store, tok_prop)
-        except (DegenerateStepError, RankCollapseError):
-            # Step left the representable set; shrink and retry.
-            rho = -math.inf
-            delta /= 4.0
-            step_size = 0.0
-            it += 1
-            continue
-
-        model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
-        reg = opts.rho_regularization * max(1.0, abs(f))
-        rho = (f - f_prop + reg) / (model_decrease + reg)
-
-        if model_decrease <= 0:
-            accept = False
-            delta /= 4.0
-        else:
-            if rho < 0.25:
+            if model_decrease <= 0 or rho < 0.25:
                 delta /= 4.0
             elif rho > 0.75 and tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE):
                 delta = min(2.0 * delta, delta_bar)
-            accept = rho > opts.rho_prime
-
-        if accept:
+            if not (model_decrease > 0 and rho > opts.rho_prime):
+                return x, tok, f, g, gnorm, 0.0, inner, delta, rho
             step_size = M.norm(x, eta)
-            x = x_prop
-            tok = tok_prop
-            f = f_prop
-            g = get_gradient(p, x, store, tok)
-            gnorm = M.norm(x, g)
-        else:
-            step_size = 0.0
-        it += 1
+            g_prop = get_gradient(p, x_prop, store, tok_prop)
+            return (x_prop, tok_prop, f_prop, g_prop, M.norm(x_prop, g_prop),
+                    step_size, inner, delta, rho)
+
+        return step, (0.0, None, delta, None)
+
+    return iterate(p, x0, opts, rng, rule)

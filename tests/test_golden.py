@@ -133,14 +133,16 @@ def _run_digest(result) -> str:
 # (factory, solver) -> (digest, stop_reason, counters), recorded before the
 # descent solvers were merged into one loop.  Since then CG evaluates the
 # gradient once per point, so its grad_evals equal the history length.
+# Since all solvers share one outer loop, SD and CG take each accepted
+# point's cost from the line search: cost_evals is 1 + line-search trials.
 SOLVER_GOLDEN = {
     ("sphere", "sd"): (
         "61da6e1d814e1cdb73d458c5583ffc63c2ac1086e8fd1f2de70a256d398452fa",
-        "gradient_tolerance", {'cost_evals': 60, 'grad_evals': 19, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 42, 'grad_evals': 19, 'hess_evals': 0},
     ),  # 19 records
     ("sphere", "cg"): (
         "765569fb7adee5c092a0f56cb34bcefd02d27ee8f536285b9193e7b01c05b038",
-        "gradient_tolerance", {'cost_evals': 53, 'grad_evals': 16, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 38, 'grad_evals': 16, 'hess_evals': 0},
     ),  # 16 records
     ("sphere", "tr"): (
         "d0797dfc7f4106a4f8b0ace661a2121521e63700bba18a0eac31b9cf021910dc",
@@ -148,11 +150,11 @@ SOLVER_GOLDEN = {
     ),  # 7 records
     ("oblique", "sd"): (
         "5af80cf5b85a80b3cda11a97dcd5fb4544af1b6c22a1f333664e95a18c9ebc80",
-        "gradient_tolerance", {'cost_evals': 68, 'grad_evals': 17, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 52, 'grad_evals': 17, 'hess_evals': 0},
     ),  # 17 records
     ("oblique", "cg"): (
         "a4dafb73fbdbb2e4bbdddeec1fcf3aea4c99b303f049b3bd9dda486cbe626795",
-        "gradient_tolerance", {'cost_evals': 101, 'grad_evals': 31, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 71, 'grad_evals': 31, 'hess_evals': 0},
     ),  # 31 records
     ("oblique", "tr"): (
         "95c2df8543c5cd9c581c1d4f9a690c42e0880e066efbb959e6f35609df71e17c",
@@ -160,11 +162,11 @@ SOLVER_GOLDEN = {
     ),  # 7 records
     ("stiefel", "sd"): (
         "b982687ab67aa1bd22644e59f1c72f177e20f54e6e2e8787e8421e52733a9a47",
-        "gradient_tolerance", {'cost_evals': 76, 'grad_evals': 25, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 52, 'grad_evals': 25, 'hess_evals': 0},
     ),  # 25 records
     ("stiefel", "cg"): (
         "757727dc2c0154198a444fcb6d5934292f79adecf1b6d9fda6862a713ec51fff",
-        "gradient_tolerance", {'cost_evals': 77, 'grad_evals': 22, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 56, 'grad_evals': 22, 'hess_evals': 0},
     ),  # 22 records
     ("stiefel", "tr"): (
         "627af5607d1c9d0a5afc35bc98afaf80550035107dcf5324b570012d682bdbf2",
@@ -172,11 +174,11 @@ SOLVER_GOLDEN = {
     ),  # 8 records
     ("grassmann", "sd"): (
         "7d29427df45ceabaa8bb0a7555265bf066bc1babbf964b66f2caf6aec37a9a46",
-        "gradient_tolerance", {'cost_evals': 87, 'grad_evals': 32, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 56, 'grad_evals': 32, 'hess_evals': 0},
     ),  # 32 records
     ("grassmann", "cg"): (
         "708d701161d620029683bb68313791bfa9a04b0f8c256e7685c97543802ec2ff",
-        "gradient_tolerance", {'cost_evals': 74, 'grad_evals': 25, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 50, 'grad_evals': 25, 'hess_evals': 0},
     ),  # 25 records
     ("grassmann", "tr"): (
         "b25da5a29487bdc11d76edd725db47cabb2bc15362112bb992eda7584cb92463",
@@ -184,11 +186,11 @@ SOLVER_GOLDEN = {
     ),  # 5 records
     ("rotations", "sd"): (
         "1406e35586f95bee06acd1f28ef00469df3cf5e5868ebde323969b2ab8f799fc",
-        "gradient_tolerance", {'cost_evals': 79, 'grad_evals': 26, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 54, 'grad_evals': 26, 'hess_evals': 0},
     ),  # 26 records
     ("rotations", "cg"): (
         "90cc84c7ea9c43a5b89c2bd986e0bc286651fb1bd69bf65d05d2835202daca61",
-        "gradient_tolerance", {'cost_evals': 80, 'grad_evals': 25, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 56, 'grad_evals': 25, 'hess_evals': 0},
     ),  # 25 records
     ("rotations", "tr"): (
         "c1f1bc9be66776aa98a53f91a333a94ef15f6e5e24d951c4c151557c8976f1fd",
@@ -196,11 +198,11 @@ SOLVER_GOLDEN = {
     ),  # 8 records
     ("elliptope", "sd"): (
         "c85e785e54da89012ded2178c710cd560f746b03921ffb2b35d2a52e07163087",
-        "gradient_tolerance", {'cost_evals': 80, 'grad_evals': 27, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 54, 'grad_evals': 27, 'hess_evals': 0},
     ),  # 27 records
     ("elliptope", "cg"): (
         "52258de177c7f44fb29ae49c9000811223cafca06821516bcf7e406c7a16ca78",
-        "gradient_tolerance", {'cost_evals': 119, 'grad_evals': 41, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 79, 'grad_evals': 41, 'hess_evals': 0},
     ),  # 41 records
     ("elliptope", "tr"): (
         "da642efba88b4fc08246fe97abe17da6f7879049c18cf413f15d4dc191953774",
@@ -208,11 +210,11 @@ SOLVER_GOLDEN = {
     ),  # 10 records
     ("spectrahedron", "sd"): (
         "48c3f5ea303c02c0a696c318b602e7914ef5474098887b0f8ba10fb247016edb",
-        "gradient_tolerance", {'cost_evals': 61, 'grad_evals': 15, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 47, 'grad_evals': 15, 'hess_evals': 0},
     ),  # 15 records
     ("spectrahedron", "cg"): (
         "efc921ff74de7e4ad24ebeb44a4a808606313280718ba70dfcac00b90d1fd0d7",
-        "gradient_tolerance", {'cost_evals': 60, 'grad_evals': 15, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 46, 'grad_evals': 15, 'hess_evals': 0},
     ),  # 15 records
     ("spectrahedron", "tr"): (
         "85523890f2e3ae0291d6d79397f35a30d65bbaf5ec8505d31d8ad524be35b00c",
@@ -220,11 +222,11 @@ SOLVER_GOLDEN = {
     ),  # 6 records
     ("euclidean", "sd"): (
         "315d10ea4a1f89695362a5cad3eec1417019d41988bf5a2c69df5adfb767d3a3",
-        "gradient_tolerance", {'cost_evals': 64, 'grad_evals': 16, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 49, 'grad_evals': 16, 'hess_evals': 0},
     ),  # 16 records
     ("euclidean", "cg"): (
         "8e33eb3c3b085931106e453c0d4d31bfa29edba0476a7a8592d5a524e43b718e",
-        "gradient_tolerance", {'cost_evals': 85, 'grad_evals': 22, 'hess_evals': 0},
+        "gradient_tolerance", {'cost_evals': 64, 'grad_evals': 22, 'hess_evals': 0},
     ),  # 22 records
     ("euclidean", "tr"): (
         "28ce760ecd3d5a414c923e482a81e0d9dbb98b3fa5ef92d9d7fc34d2bd6d4853",

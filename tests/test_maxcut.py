@@ -407,6 +407,15 @@ def test_cli_history_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_unwritable_history_exits_one(tmp_path, capsys):
+    path = _write_k3(tmp_path)
+    code = run_cli(["solve", "--graph", path, "--history", str(tmp_path / "missing" / "h.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "h.csv" in captured.err
+
+
 def test_cli_check_subcommand(tmp_path, capsys):
     path = _write_k3(tmp_path)
     code = run_cli(["check", "--graph", path, "--rank", "2"])
@@ -464,6 +473,8 @@ def test_cli_solver_choices(tmp_path, capsys):
         (["solve", "--tol", "0"], "--tol: must be positive and finite"),
         (["solve", "--tol=-1e-6"], "--tol: must be positive and finite"),
         (["solve", "--tol", "inf"], "--tol: must be positive and finite"),
+        (["solve", "--seed=-1"], "--seed: must be >= 0"),
+        (["check", "--seed=-1"], "--seed: must be >= 0"),
     ],
 )
 def test_cli_out_of_range_option_exits_one(tmp_path, capsys, argv, message):

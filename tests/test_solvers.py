@@ -26,6 +26,7 @@ from riemopt.solvers.core import (
     STEP_COLLAPSE,
     USER_STOP,
     IterationRecord,
+    backtracking_line_search,
 )
 from riemopt.solvers.trust_regions import (
     TCG_BOUNDARY,
@@ -195,12 +196,6 @@ def test_cg_preconditioner_speedup():
     r_pre = conjugate_gradient(p_pre, x0=np.zeros(n), opts=opts)
     assert r_pre.history[-1].iteration <= r_plain.history[-1].iteration
     assert r_pre.history[-1].iteration <= 3  # exact inverse: one-step-like
-
-
-def test_cg_beta_rule_validation():
-    p, _ = rayleigh_problem(4, seed=4)
-    with pytest.raises(ValueError):
-        conjugate_gradient(p, opts=SolverOptions(beta_rule="FR"))
 
 
 def test_cg_sphere_rayleigh_and_monotone_cost():
@@ -396,6 +391,62 @@ def test_idle_records_reuse_the_point_token(solver):
     assert len(res.history) == opts.min_iter + 1
     assert res.counters["cost_evals"] == 1
     assert res.counters["grad_evals"] == 1
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
+def test_descent_evaluates_each_point_cost_once(solver):
+    # The accepted point's cost is the line search's last trial: only the
+    # start point and the trials are evaluated.
+    p, _ = rayleigh_problem(8, seed=27)
+    trials = []
+
+    def line_search(phi, phi0, slope, t0):
+        def counted(t):
+            trials.append(t)
+            return phi(t)
+
+        return backtracking_line_search(counted, phi0, slope, t0, opts)
+
+    opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
+    res = solver(p, opts=opts, rng=np.random.default_rng(28))
+    assert len(res.history) > 5
+    assert res.counters["cost_evals"] == 1 + len(trials)
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
+def test_line_search_may_accept_an_earlier_trial(solver):
+    # A trial after the accepted one must not stand in for the accepted point.
+    p, _ = rayleigh_problem(8, seed=31)
+
+    def accept_t0(phi, phi0, slope, t0):
+        return t0, phi(t0)
+
+    def accept_t0_probe_after(phi, phi0, slope, t0):
+        f_t0 = phi(t0)
+        phi(0.5 * t0)
+        return t0, f_t0
+
+    a, b = (
+        solver(p, opts=SolverOptions(line_search=ls, max_iter=20, clock=lambda: 0.0),
+               rng=np.random.default_rng(32))
+        for ls in (accept_t0, accept_t0_probe_after)
+    )
+    assert a.history == b.history
+    assert np.array_equal(a.x_final, b.x_final)
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
+def test_counters_do_not_depend_on_caching(solver):
+    # The outer loop carries each point's cost and gradient forward, so
+    # turning the cache off re-evaluates nothing.
+    p, _ = rayleigh_problem(8, seed=29)
+    runs = [
+        solver(p, opts=SolverOptions(caching=caching, clock=lambda: 0.0),
+               rng=np.random.default_rng(30))
+        for caching in (True, False)
+    ]
+    assert runs[0].history == runs[1].history
+    assert runs[0].counters == runs[1].counters
 
 
 def test_records_are_logged_at_debug_level(caplog):
