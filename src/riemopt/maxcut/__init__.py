@@ -8,7 +8,6 @@ from .graph import (
 )
 from .solve import (
     CutResult,
-    MultCounter,
     build_problem,
     certify,
     rank_escalation,
@@ -25,7 +24,6 @@ __all__ = [
     "cut_value_from_edges",
     "brute_force_max_cut",
     "CutResult",
-    "MultCounter",
     "build_problem",
     "solve_rank_r",
     "round_cut",

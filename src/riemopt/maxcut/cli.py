@@ -22,7 +22,7 @@ import numpy as np
 from ..diagnostics import check_gradient, check_hessian
 from ..solvers import SolverOptions, history_to_csv
 from .graph import laplacian, load_graph
-from .solve import build_problem, rank_escalation, round_cut, solve_rank_r, certify
+from .solve import CutResult, build_problem, certify, rank_escalation, round_cut, solve_rank_r
 
 
 def _checked(kind, ok, requirement: str):
@@ -131,6 +131,12 @@ def run_cli(argv=None) -> int:
         return 0 if (grad_report.verdict and hess_report.verdict) else 1
 
     opts = _solver_options(args)
+    try:
+        if args.history:  # fail on an unwritable path before solving
+            open(args.history, "a").close()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     wall_start = time.perf_counter()
     if args.escalate:
         result = rank_escalation(
@@ -142,42 +148,30 @@ def run_cli(argv=None) -> int:
             tol=args.tol,
             solver=args.solver,
         )
-        histories = result.histories
-        cost = histories[-1].cost_final
-        cut, bound, certified = result.cut_value, result.upper_bound, result.certified
-        rank_used = result.rank_used
-        iterations = result.total_iterations
     else:
         Y, run = solve_rank_r(L, args.rank, opts, rng, solver=args.solver)
-        histories = [run]
-        _, cut = round_cut(L, Y, args.trials, rng)
-        certified, bound = False, None
-        try:
-            certified, _, bound, _ = certify(L, Y, args.tol)
-        except ValueError:
-            pass
-        cost = run.cost_final
-        rank_used = args.rank
-        iterations = len(run.history)
+        s, cut = round_cut(L, Y, args.trials, rng)
+        certified, _, bound, _ = certify(L, Y, args.tol)
+        result = CutResult(s, cut, bound, certified, args.rank, [run])
 
     elapsed = 0.0 if args.timing == "none" else time.perf_counter() - wall_start
     fields = {
         "n": g.n,
-        "rank_used": rank_used,
-        "cost": cost,
-        "cut": cut,
-        "bound": bound,
-        "certified": certified,
+        "rank_used": result.rank_used,
+        "cost": result.histories[-1].cost_final,
+        "cut": result.cut_value,
+        "bound": result.upper_bound,
+        "certified": result.certified,
         "seed": args.seed,
-        "iterations": iterations,
+        "iterations": result.total_iterations,
         "time_seconds": elapsed,
     }
     try:
-        _emit_solve(args, fields, histories)
+        _emit_solve(args, fields, result.histories)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.escalate and not certified:
+    if args.escalate and not result.certified:
         return 2
     return 0
 

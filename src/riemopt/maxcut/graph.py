@@ -18,13 +18,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Graph:
+    """n nodes and a sorted edge list; each edge (i, j, w) appears once,
+    with 1-based i < j and the merged weight w >= 0."""
+
     n: int
-    edges: List[Tuple[int, int, float]]  # 1-based, i < j, w >= 0
-    adjacency: np.ndarray  # symmetric n x n, zero diagonal
+    edges: List[Tuple[int, int, float]]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        w = np.zeros((n, n))
         merged: dict[tuple[int, int], float] = {}
         for i, j, weight in edges:
             if i == j:
@@ -38,11 +39,7 @@ class Graph:
             if not math.isfinite(total):
                 raise ValueError(f"non-finite weight {total} on edge ({a}, {b})")
             merged[(a, b)] = total
-        for (a, b), weight in merged.items():
-            w[a - 1, b - 1] = weight
-            w[b - 1, a - 1] = weight
-        edge_list = [(a, b, weight) for (a, b), weight in sorted(merged.items())]
-        return cls(n=n, edges=edge_list, adjacency=w)
+        return cls(n=n, edges=[(a, b, weight) for (a, b), weight in sorted(merged.items())])
 
 
 def load_graph(path) -> Graph:
@@ -92,8 +89,11 @@ def load_graph(path) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - W (symmetric, PSD, zero row sums)."""
-    return np.diag(g.adjacency.sum(axis=1)) - g.adjacency
+    """Graph Laplacian L = D - W (symmetric, PSD, zero row sums), dense."""
+    w = np.zeros((g.n, g.n))
+    for i, j, weight in g.edges:
+        w[i - 1, j - 1] = w[j - 1, i - 1] = weight
+    return np.diag(w.sum(axis=1)) - w
 
 
 def cut_value_from_signs(L: np.ndarray, s: np.ndarray) -> float:

@@ -35,13 +35,6 @@ SOLVERS = {
 }
 
 
-class MultCounter:
-    """Counts matrix products L @ Y; used to verify the caching payoff."""
-
-    def __init__(self):
-        self.count = 0
-
-
 @dataclass
 class CutResult:
     s: np.ndarray  # sign vector in {+1, -1}^n
@@ -56,29 +49,23 @@ class CutResult:
         return sum(len(r.history) for r in self.histories)
 
 
-def build_problem(
-    L: np.ndarray, r: int, mult_counter: Optional[MultCounter] = None
-) -> ProblemDef:
+def build_problem(L: np.ndarray, r: int) -> ProblemDef:
     """Relaxed max-cut problem on the rank-r elliptope.
 
     cost(Y) = -trace(Y'LY)/4, egrad(Y) = -(LY)/2, ehess(Y, U) = -(LU)/2.
     The product LY is stored in the per-point cache so the cost and the
     gradient share one multiply; the solvers' cache store keeps egrad per
     point, so Hessian-vector products at that point cost one LU each.
+    Every product is a plain ``L @ ·``, so an ndarray subclass of L sees
+    (and can count) each one.
     """
     if r < 1:
         raise ValueError(f"build_problem: rank must be >= 1, got {r}")
-    n = L.shape[0]
-    manifold = elliptope_factory(n, r)
-
-    def lmul(m: np.ndarray) -> np.ndarray:
-        if mult_counter is not None:
-            mult_counter.count += 1
-        return L @ m
+    manifold = elliptope_factory(L.shape[0], r)
 
     def cached_ly(y: np.ndarray, cache: dict) -> np.ndarray:
         if "LY" not in cache:
-            cache["LY"] = lmul(y)
+            cache["LY"] = L @ y
         return cache["LY"]
 
     def cost(y, cache):
@@ -89,7 +76,7 @@ def build_problem(
         return cached_ly(y, cache) * -0.5
 
     def ehess(y, u):
-        return lmul(u) * -0.5
+        return (L @ u) * -0.5
 
     return ProblemDef(manifold=manifold, cost=cost, egrad=egrad, ehess=ehess)
 
@@ -128,21 +115,22 @@ def round_cut(
 
 def certify(
     L: np.ndarray, Y: np.ndarray, tol: float = 1e-6
-) -> Tuple[bool, float, Optional[float], np.ndarray]:
-    """Dual certificate at a critical Y.
+) -> Tuple[bool, Optional[float], Optional[float], Optional[np.ndarray]]:
+    """Dual certificate at Y.
 
     Returns (certified, lambda_min(S), upper_bound, eigenvector of
     lambda_min).  Certification demands lambda_min >= -tol * ||L||_1 (the
     induced 1-norm keeps the tolerance scale-aware); the bound is
-    trace(L Y Y')/4.
+    trace(L Y Y')/4.  The certificate holds only at a critical Y: when the
+    Riemannian gradient norm exceeds 1e-6 * max(1, ||L||_F) (for example
+    after ``max_iter``), Y is not certified and there is no bound, nor an
+    eigenpair: the result is (False, None, None, None).
     """
     M = elliptope_factory(*Y.shape)
     ly = L @ Y
     gnorm = M.norm(Y, M.proj(Y, ly * -0.5))  # the Riemannian gradient's norm
     if gnorm > 1e-6 * max(1.0, float(np.linalg.norm(L))):
-        raise ValueError(
-            f"certify: Y is not critical (gradient norm {gnorm:.3e})"
-        )
+        return False, None, None, None
     d = np.sum(ly * Y, axis=1)
     S = np.diag(d) - L
     evals, evecs = np.linalg.eigh(S)
@@ -168,12 +156,13 @@ def rank_escalation(
     eigenvector, appended as a fresh column direction, is a descent
     direction; the next rank is warm-started from a small retracted step
     along it (falling back to a random tangent if descent is not observed).
+    A rank whose solve stops short of criticality has no certificate and
+    no eigenvector; it escalates from a random tangent step.
     """
     if r0 < 2:
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
     rng = rng if rng is not None else np.random.default_rng(0)
     n = L.shape[0]
-    opts = opts if opts is not None else SolverOptions()
 
     histories: List[RunResult] = []
     best_s, best_val = None, -np.inf
@@ -186,11 +175,7 @@ def rank_escalation(
         if val > best_val:
             best_s, best_val = s, val
 
-        certified, lam_min, bound, v = False, None, None, None
-        try:
-            certified, lam_min, bound, v = certify(L, Y, tol)
-        except ValueError:
-            pass  # not critical enough; escalate and keep going
+        certified, _, bound, v = certify(L, Y, tol)
         if certified or r >= n:
             return CutResult(
                 s=best_s,

@@ -20,6 +20,7 @@ MAX_ITER = "max_iter"
 MAX_TIME = "max_time"
 USER_STOP = "user_stop"
 STEP_COLLAPSE = "step_collapse"
+NONFINITE = "nonfinite"
 
 
 @dataclass
@@ -130,7 +131,8 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
     gradient norm and those four record fields, or a stop reason.  The loop
     carries them forward, so no point is evaluated twice.  A point whose
     gradient is below tolerance before ``min_iter`` is recorded again,
-    without a step, until the stop is allowed.
+    without a step, until the stop is allowed.  A record whose cost or
+    gradient norm is NaN or infinite ends the run as ``nonfinite``.
     """
     opts = opts if opts is not None else SolverOptions()
     store = CacheStore(caching=opts.caching)
@@ -153,6 +155,9 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
         )
         history.append(rec)
         emit_record(rec, opts)
+        if not (math.isfinite(f) and math.isfinite(gnorm)):
+            reason = NONFINITE
+            break
         stop, reason = shared_stopping(rec, opts)
         if stop:
             break

@@ -32,19 +32,20 @@ def tcg_subsolver(
     opts: Optional[SolverOptions] = None,
     store=None,
     token=None,
-    theta: Optional[float] = None,
 ):
     """Truncated CG on the trust-region model at x.
 
     Returns (eta, H_eta, stop_flag, inner_iterations).  The residual target
     is ||r|| <= ||r0|| * min(||r0||^theta, kappa), the usual switch between
-    a superlinear and a linear convergence goal.  Without a preconditioner
+    a superlinear and a linear convergence goal; theta is ``tcg_theta``
+    with an exact Hessian and 0 otherwise, since finite-difference noise
+    defeats a superlinear target.  Without a preconditioner
     z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
     kappa = opts.tcg_kappa
-    theta = opts.tcg_theta if theta is None else theta
+    theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
 
     precond = p.precond
@@ -118,14 +119,10 @@ def trust_regions(
     def rule(opts, store):
         delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
         delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
-        # FD noise defeats a superlinear residual target; aim for linear instead.
-        theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
 
         def step(x, tok, f, g, gnorm):
             nonlocal delta
-            eta, h_eta, tcg_stop, inner = tcg_subsolver(
-                p, x, g, delta, opts, store, tok, theta=theta
-            )
+            eta, h_eta, tcg_stop, inner = tcg_subsolver(p, x, g, delta, opts, store, tok)
             try:
                 x_prop = M.retract(x, eta, 1.0)
                 tok_prop = store.token()

@@ -215,6 +215,17 @@ def make_quadratic_problem(M, seed=0, spread=1.0, with_hessian=True) -> ProblemD
     )
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products M @ X taken with it; make one with
+    ``A.view(CountingMatrix)`` and reset ``CountingMatrix.products``."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
 def rayleigh_problem(n, seed=0):
     """min -x'Ax on the sphere; returns (problem, A)."""
     rng = np.random.default_rng(seed)

@@ -11,7 +11,6 @@ from riemopt import CacheStore, SolverOptions, check_gradient, check_hessian, ge
 from riemopt.maxcut import (
     CutResult,
     Graph,
-    MultCounter,
     brute_force_max_cut,
     build_problem,
     certify,
@@ -24,6 +23,8 @@ from riemopt.maxcut import (
     run_cli,
     solve_rank_r,
 )
+
+from _helpers import CountingMatrix
 
 
 def k3():
@@ -48,7 +49,7 @@ def test_load_graph_basic(tmp_path):
     g = load_graph(f)
     assert g.n == 3
     assert g.edges == [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
-    np.testing.assert_allclose(g.adjacency, np.ones((3, 3)) - np.eye(3))
+    np.testing.assert_allclose(laplacian(g), 3.0 * np.eye(3) - np.ones((3, 3)))
 
 
 def test_load_graph_header_and_weights(tmp_path):
@@ -63,7 +64,7 @@ def test_load_graph_comments_blank_and_duplicates(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("# a triangle\n\n1 2 0.5\n2 1 0.5  # duplicate, summed\n2 3\n1 3\n")
     g = load_graph(f)
-    assert g.adjacency[0, 1] == 1.0
+    assert laplacian(g)[0, 1] == -1.0
 
 
 def test_load_graph_self_loop_line_number(tmp_path):
@@ -166,15 +167,15 @@ def test_build_problem_formulas():
 
 
 def test_build_problem_shares_one_multiply():
-    L = laplacian(k5())
-    counter = MultCounter()
-    p = build_problem(L, 3, counter)
+    L = laplacian(k5()).view(CountingMatrix)
+    CountingMatrix.products = 0
+    p = build_problem(L, 3)
     store = CacheStore()
     y = p.manifold.rand_point(np.random.default_rng(3))
     tok = store.token()
     get_cost(p, y, store, tok)
     get_gradient(p, y, store, tok)
-    assert counter.count == 1  # LY computed once, shared via the scratch dict
+    assert CountingMatrix.products == 1  # LY computed once, shared via the scratch dict
 
 
 def test_build_problem_derivative_checks_pass():
@@ -267,11 +268,25 @@ def test_certify_c4():
     assert bound == pytest.approx(4.0, abs=1e-6)
 
 
+def _critical_threshold(L):
+    """certify's gradient-norm threshold for calling Y critical."""
+    return 1e-6 * max(1.0, float(np.linalg.norm(L)))
+
+
+def _ring_with_chords(n, seed):
+    """A ring on n nodes plus about 2n random chords (repeats add up)."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i % n + 1, 1.0) for i in range(1, n + 1)]
+    edges += [(int(i), int(j), 1.0) for i, j in rng.integers(1, n + 1, (2 * n, 2)) if i != j]
+    return Graph.from_edges(n, edges)
+
+
 def test_certify_rejects_noncritical_point():
     L = laplacian(k5())
-    y = build_problem(L, 2).manifold.rand_point(np.random.default_rng(13))
-    with pytest.raises(ValueError, match="not critical"):
-        certify(L, y)
+    p = build_problem(L, 2)
+    y = p.manifold.rand_point(np.random.default_rng(13))
+    assert p.manifold.norm(y, get_gradient(p, y)) > _critical_threshold(L)
+    assert certify(L, y) == (False, None, None, None)
 
 
 # --- rank escalation ---------------------------------------------------------
@@ -326,6 +341,21 @@ def test_escalation_actually_escalates():
     # rank-2 optimum, so its final cost cannot be worse.
     finals = [run.cost_final for run in res.histories]
     assert finals[1] <= finals[0] + 1e-9
+    assert res.cut_value <= res.upper_bound + 1e-9
+
+
+def test_escalation_carries_on_past_noncritical_ranks():
+    # Five iterations leave the first ranks short of criticality: they get
+    # no certificate and no eigenvector, and escalation steps off them
+    # along a random tangent until a rank certifies.
+    L = laplacian(_ring_with_chords(20, seed=1))
+    res = rank_escalation(L, opts=SolverOptions(max_iter=5), rng=np.random.default_rng(2))
+    first = res.histories[0]
+    assert first.stop_reason == "max_iter"
+    assert first.grad_norm_final > _critical_threshold(L)
+    assert res.rank_used > 3
+    assert len(res.histories) == res.rank_used - 1
+    assert res.certified
     assert res.cut_value <= res.upper_bound + 1e-9
 
 
@@ -407,13 +437,39 @@ def test_cli_history_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_unwritable_history_exits_one(tmp_path, capsys):
+def test_cli_unwritable_history_exits_one(tmp_path, capsys, monkeypatch):
+    # The path is checked before any solve starts.
+    import riemopt.maxcut.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before checking the --history path")
+
+    monkeypatch.setattr(cli, "rank_escalation", must_not_run)
+    monkeypatch.setattr(cli, "solve_rank_r", must_not_run)
     path = _write_k3(tmp_path)
-    code = run_cli(["solve", "--graph", path, "--history", str(tmp_path / "missing" / "h.csv")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "h.csv" in captured.err
+    for extra in ([], ["--escalate"]):
+        code = run_cli(["solve", "--graph", path, "--history", str(tmp_path / "missing" / "h.csv")]
+                       + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "h.csv" in captured.err
+
+
+def test_cli_noncritical_solve_is_not_certified(tmp_path, capsys):
+    g = _ring_with_chords(20, seed=1)
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{i} {j} {w}\n" for i, j, w in g.edges))
+    hist = tmp_path / "hist.csv"
+    code = run_cli(["solve", "--graph", str(graph), "--rank", "3", "--max-iter", "5",
+                    "--seed", "3", "--out", "json", "--timing", "none",
+                    "--history", str(hist)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"certified": false' in out and '"bound": null' in out
+    last = hist.read_text().splitlines()[-1].split(",")
+    assert int(last[0]) == 5
+    assert float(last[2]) > _critical_threshold(laplacian(g))
 
 
 def test_cli_check_subcommand(tmp_path, capsys):
@@ -496,24 +552,14 @@ def test_cli_escalation_accepts_rank_above_n(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rank_used"] == 3
 
 
-class _CountingMatrix(np.ndarray):
-    """A Laplacian that counts the products L @ X taken with it."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        type(self).products += 1
-        return np.asarray(self) @ other
-
-
 def test_certify_takes_one_product_with_l():
     L = laplacian(Graph.from_edges(30, [(i, i % 30 + 1, 1.0) for i in range(1, 31)]
                                    + [(i, (i + 6) % 30 + 1, 2.0) for i in range(1, 31, 3)]))
     Y, _ = solve_rank_r(L, 3, rng=np.random.default_rng(40))
     expected = certify(L, Y)
-    counted = L.view(_CountingMatrix)
-    _CountingMatrix.products = 0
+    counted = L.view(CountingMatrix)
+    CountingMatrix.products = 0
     got = certify(counted, Y)
-    assert _CountingMatrix.products == 1
+    assert CountingMatrix.products == 1
     assert got[:3] == expected[:3]
     np.testing.assert_array_equal(np.asarray(got[3]), expected[3])

@@ -23,6 +23,7 @@ from riemopt.solvers.core import (
     GRADIENT_TOLERANCE,
     MAX_ITER,
     MAX_TIME,
+    NONFINITE,
     STEP_COLLAPSE,
     USER_STOP,
     IterationRecord,
@@ -76,6 +77,26 @@ def test_shared_stopping_cases():
         True,
         GRADIENT_TOLERANCE,
     )
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
+@pytest.mark.parametrize(
+    "bad, value", [("cost", math.nan), ("cost", math.inf), ("egrad", math.nan)]
+)
+def test_nonfinite_cost_or_gradient_stops_the_run(solver, bad, value):
+    # egrad(x) = x has a zero Riemannian gradient on the sphere, so a NaN
+    # cost alone would otherwise pass for convergence.
+    p = ProblemDef(
+        manifold=sphere_factory(5),
+        cost=(lambda x: value) if bad == "cost" else (lambda x: float(x @ x)),
+        egrad=(lambda x: np.full(5, value)) if bad == "egrad" else (lambda x: x),
+        ehess=lambda x, u: u,
+    )
+    res = solver(p, rng=np.random.default_rng(0), opts=SolverOptions(clock=lambda: 0.0))
+    assert res.stop_reason == NONFINITE
+    assert len(res.history) == 1
+    assert res.counters["cost_evals"] == 1
+    assert res.counters["hess_evals"] == 0
 
 
 def test_options_validation():
