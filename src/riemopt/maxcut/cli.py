@@ -12,6 +12,7 @@ result could not be certified.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,7 @@ _MAX_ITER = _checked(int, lambda v: v >= _MIN_ITER, f">= {_MIN_ITER}")
 _TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riemopt-maxcut",
@@ -92,7 +94,7 @@ def _emit_solve(args, result_fields: dict, histories) -> None:
         records = [rec for run in histories for rec in run.history]
         history_to_csv(records, args.history)
     if args.out == "json":
-        print(json.dumps(result_fields))
+        print(json.dumps(result_fields, allow_nan=False))
     elif args.out == "csv":
         print(",".join(result_fields.keys()))
         print(",".join("" if v is None else str(v) for v in result_fields.values()))
@@ -110,6 +112,7 @@ def run_cli(argv=None) -> int:
 
     try:
         g = load_graph(args.graph)
+        L = laplacian(g)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -117,7 +120,6 @@ def run_cli(argv=None) -> int:
         print(f"error: --rank {args.rank} exceeds the {g.n} nodes of the graph",
               file=sys.stderr)
         return 1
-    L = laplacian(g)
     rng = np.random.default_rng(args.seed)
 
     if args.command == "check":
@@ -168,7 +170,7 @@ def run_cli(argv=None) -> int:
     }
     try:
         _emit_solve(args, fields, result.histories)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NaN or infinity in the JSON
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.escalate and not result.certified:

@@ -4,7 +4,9 @@ Edge-list file format: whitespace-separated lines ``i j w`` with 1-based
 node indices and optional weight (default 1.0).  ``#`` starts a comment,
 blank lines are skipped, duplicate edges sum their weights, and an optional
 header line ``p <n> <m>`` fixes the node count (otherwise it is the largest
-index seen).  Weights must be finite and nonnegative.
+index seen).  Weights must be finite and nonnegative, and small enough that
+the Laplacian's Frobenius norm is finite (for a triangle of equal weights,
+below about 3.1e153): ``laplacian`` rejects a graph whose weights overflow it.
 """
 
 from __future__ import annotations
@@ -89,11 +91,24 @@ def load_graph(path) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - W (symmetric, PSD, zero row sums), dense."""
+    """Graph Laplacian L = D - W (symmetric, PSD, zero row sums), dense.
+
+    Raises ValueError when ||L||_F is not finite: the certificate measures
+    criticality against that norm, and the relaxation's arithmetic would
+    overflow on such weights.
+    """
     w = np.zeros((g.n, g.n))
     for i, j, weight in g.edges:
         w[i - 1, j - 1] = w[j - 1, i - 1] = weight
-    return np.diag(w.sum(axis=1)) - w
+    with np.errstate(over="ignore"):  # overflow is the error reported below
+        L = np.diag(w.sum(axis=1)) - w
+        finite = np.isfinite(np.linalg.norm(L))
+    if not finite:
+        heaviest = max(weight for _, _, weight in g.edges)
+        raise ValueError(
+            f"edge weights too large: the Laplacian's norm overflows (largest weight {heaviest!r})"
+        )
+    return L
 
 
 def cut_value_from_signs(L: np.ndarray, s: np.ndarray) -> float:

@@ -51,6 +51,10 @@ class CacheStore:
     cost, the Riemannian gradient, the user's Euclidean gradient and the
     manifold's Hessian conversion ``ehess2rhess(x, egrad)`` at the point, so
     each runs once per point however many Hessian-vector products follow.
+
+    ``hess_evals`` counts the Hessian-vector products computed, not the
+    tCG's inner steps: a trust-region rerun after a rejected step reads
+    the products of the first run back and adds none.
     """
 
     def __init__(self, caching: bool = True):

@@ -32,6 +32,7 @@ def tcg_subsolver(
     opts: Optional[SolverOptions] = None,
     store=None,
     token=None,
+    products: Optional[list] = None,
 ):
     """Truncated CG on the trust-region model at x.
 
@@ -41,6 +42,16 @@ def tcg_subsolver(
     with an exact Hessian and 0 otherwise, since finite-difference noise
     defeats a superlinear target.  Without a preconditioner
     z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
+
+    ``products``, when given, holds the pairs (H d_j, <d_j, H d_j>) of
+    earlier calls at the same x and g, by inner step j; steps beyond it are
+    computed and appended.  Delta enters only the boundary test, so the
+    directions d_j do not depend on it: a later call at the same x and g
+    repeats the same d_j in the same order, reads their products back and
+    returns what a fresh call would, bit for bit.  A call with a smaller
+    Delta stops at or before the step where the first one stopped, so it
+    computes no product at all.  The products are kept as the Hessian
+    returned them, so a Hessian callable must not reuse its output array.
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
@@ -69,8 +80,13 @@ def tcg_subsolver(
     stop = TCG_MAX_INNER
     for j in range(max_inner):
         inner_iters = j + 1
-        h_d = get_hessian(p, x, d, store, token)
-        d_hd = M.inner(x, d, h_d)
+        if products is not None and j < len(products):
+            h_d, d_hd = products[j]
+        else:
+            h_d = get_hessian(p, x, d, store, token)
+            d_hd = M.inner(x, d, h_d)
+            if products is not None:
+                products.append((h_d, d_hd))
         if d_hd > 0:
             alpha = r_z / d_hd
             e_pe_new = e_pe + 2.0 * alpha * e_pd + alpha * alpha * d_pd
@@ -113,16 +129,27 @@ def trust_regions(
     rng=None,
 ) -> RunResult:
     """Riemannian trust-region solver (globally convergent; locally
-    quadratic when an exact Hessian is available)."""
+    quadratic when an exact Hessian is available).
+
+    The step rule keeps the tCG's Hessian-vector products at the current
+    point (see ``tcg_subsolver``): after a rejected step, or a retraction
+    that raised ``DegenerateStepError`` or ``RankCollapseError``, the rerun
+    at the same point with a smaller Delta computes no product again.  The products are dropped
+    when a step is accepted.  They live in the rule, not in the point's
+    cache token, so a run with ``caching=False`` does the same work.
+    """
     M = p.manifold
 
     def rule(opts, store):
         delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
         delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
+        products = []  # tCG Hessian-vector products at the current point
 
         def step(x, tok, f, g, gnorm):
             nonlocal delta
-            eta, h_eta, tcg_stop, inner = tcg_subsolver(p, x, g, delta, opts, store, tok)
+            eta, h_eta, tcg_stop, inner = tcg_subsolver(
+                p, x, g, delta, opts, store, tok, products
+            )
             try:
                 x_prop = M.retract(x, eta, 1.0)
                 tok_prop = store.token()
@@ -142,6 +169,7 @@ def trust_regions(
                 delta = min(2.0 * delta, delta_bar)
             if not (model_decrease > 0 and rho > opts.rho_prime):
                 return x, tok, f, g, gnorm, 0.0, inner, delta, rho
+            products.clear()
             step_size = M.norm(x, eta)
             g_prop = get_gradient(p, x_prop, store, tok_prop)
             return (x_prop, tok_prop, f_prop, g_prop, M.norm(x_prop, g_prop),

@@ -25,9 +25,10 @@ from riemopt import (
     tcg_subsolver,
     trust_regions,
 )
-from riemopt.exceptions import DimensionMismatchError
+from riemopt.exceptions import DegenerateStepError, DimensionMismatchError
 from riemopt.manifolds.base import array_lincomb, check_shape, trace_inner
 from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
+from riemopt.solvers.trust_regions import TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE, TCG_RESIDUAL
 
 from _helpers import manifold_matrix, rayleigh_problem
 
@@ -270,8 +271,88 @@ def test_hessian_operator_built_once_per_tcg_call(monkeypatch):
     res = trust_regions(p_counted, x0, opts)
     assert 0 < len(built) <= len(inner)
     assert res.counters == ref.counters
-    assert res.counters["hess_evals"] == sum(inner)  # one product per step
+    # One product per inner step: this run rejects no step, so no tCG call
+    # repeats a point and no stored product is read back.
+    assert res.counters["hess_evals"] == sum(inner)
     assert np.array_equal(res.x_final, ref.x_final)
+
+
+def _degenerate_once(p):
+    """p whose first retraction raises DegenerateStepError."""
+    raised = []
+
+    def retract(x, u, t):
+        if not raised:
+            raised.append(1)
+            raise DegenerateStepError("first retraction")
+        return p.manifold.retract(x, u, t)
+
+    return dataclasses.replace(p, manifold=dataclasses.replace(p.manifold, retract=retract))
+
+
+@pytest.mark.parametrize("rerun", ["rejected", "degenerate"])
+def test_tcg_rerun_at_the_same_point_computes_no_hessian_product(monkeypatch, rerun):
+    # After a rejected step (or a retraction that raised), the tCG runs
+    # again at the same point with a smaller radius and reads the products
+    # of the first call back: a point's user ehess calls are the first
+    # call's inner steps.
+    p, x0 = _maxcut_problem(5)  # TR rejects 2 steps from x0
+    if rerun == "degenerate":
+        p = _degenerate_once(p)
+    ehess_calls = []
+
+    def ehess(y, u):
+        ehess_calls.append(1)
+        return p.ehess(y, u)
+
+    calls = []  # (point, inner steps, user ehess calls) of each tCG call
+
+    def counted_tcg(p_, x, *args, **kwargs):
+        before = len(ehess_calls)
+        out = tcg_subsolver(p_, x, *args, **kwargs)
+        calls.append((x, out[3], len(ehess_calls) - before))
+        return out
+
+    tr_module = importlib.import_module("riemopt.solvers.trust_regions")
+    monkeypatch.setattr(tr_module, "tcg_subsolver", counted_tcg)
+    opts = SolverOptions(clock=lambda: 0.0)
+    res = trust_regions(dataclasses.replace(p, ehess=ehess), x0, opts)
+    first = {}  # the calls keep every point alive, so ids are not reused
+    reruns = []  # user ehess calls of each later call at a point
+    for x, inner, products in calls:
+        if id(x) in first:
+            reruns.append(products)
+        else:
+            first[id(x)] = inner
+    assert reruns and not any(reruns)
+    assert len(ehess_calls) == sum(first.values()) == res.counters["hess_evals"]
+
+
+def test_tcg_reads_stored_products_back_bit_for_bit():
+    # A call that reads the products of a call at a larger radius back
+    # returns what a fresh call at its radius returns, and computes none.
+    p, _ = rayleigh_problem(12, seed=21)
+    M = p.manifold
+    rng = np.random.default_rng(3)
+    x_star = trust_regions(p, opts=SolverOptions(clock=lambda: 0.0), rng=rng).x_final
+    points = [M.retract(x_star, M.rand_tangent(x_star, rng), 0.1) for _ in range(3)]
+    points += [M.rand_point(rng) for _ in range(3)]
+    stops = set()
+    for x in points:
+        g = get_gradient(p, x)
+        products = []
+        tcg_subsolver(p, x, g, 1e6, products=products)
+        for delta in (1e3, 0.3, 1e-3):
+            store = CacheStore()
+            eta, h_eta, stop, inner = tcg_subsolver(p, x, g, delta, store=store,
+                                                    products=products)
+            eta_0, h_eta_0, stop_0, inner_0 = tcg_subsolver(p, x, g, delta)
+            assert store.hess_evals == 0
+            assert (stop, inner) == (stop_0, inner_0)
+            assert np.array_equal(eta, eta_0)
+            assert np.array_equal(h_eta, h_eta_0)
+            stops.add(stop)
+    assert stops == {TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE, TCG_RESIDUAL}
 
 
 def test_tcg_identity_preconditioner_matches_none():

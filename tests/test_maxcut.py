@@ -23,6 +23,7 @@ from riemopt.maxcut import (
     run_cli,
     solve_rank_r,
 )
+from riemopt.solvers import RunResult
 
 from _helpers import CountingMatrix
 
@@ -495,6 +496,49 @@ def test_cli_nonfinite_weight_exits_one(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "error:" in captured.err and ":1: non-finite weight nan" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edges, extra",
+    [
+        ("1 2 1e308\n2 3 1e308\n1 3 1e308\n", []),  # degrees overflow; eigh failed
+        ("1 2 1e308\n2 3 1e308\n1 3 1e308\n", ["--escalate"]),
+        ("1 2 5e307\n2 3 5e307\n1 3 5e307\n3 4 1\n", ["--escalate"]),  # printed -Infinity
+        ("1 2 1e200\n2 3 1e200\n1 3 1e200\n", ["--escalate"]),  # gradient norm overflowed
+    ],
+    ids=["1e308", "1e308-escalate", "5e307-escalate", "1e200-escalate"],
+)
+def test_cli_huge_finite_weight_exits_one(tmp_path, capsys, edges, extra):
+    f = tmp_path / "huge.txt"
+    f.write_text(edges)
+    code = run_cli(["solve", "--graph", str(f), "--out", "json"] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Laplacian's norm overflows" in captured.err
+
+
+def test_laplacian_rejects_weights_that_overflow_its_norm():
+    L = laplacian(Graph.from_edges(3, [(1, 2, 1e153), (2, 3, 1e153), (1, 3, 1e153)]))
+    assert np.isfinite(np.linalg.norm(L))
+    with pytest.raises(ValueError, match=r"norm overflows \(largest weight 1e\+154\)"):
+        laplacian(Graph.from_edges(3, [(1, 2, 1.0), (2, 3, 1e154), (1, 3, 1e154)]))
+
+
+def test_cli_json_with_a_nonfinite_value_exits_one(tmp_path, capsys, monkeypatch):
+    # A backstop: the JSON output never carries NaN or Infinity.
+    import riemopt.maxcut.cli as cli
+
+    def infinite_cut(L, *args, **kwargs):
+        run = RunResult(None, -math.inf, math.inf, "nonfinite", [])
+        return CutResult(np.ones(L.shape[0]), math.inf, None, False, 2, [run])
+
+    monkeypatch.setattr(cli, "rank_escalation", infinite_cut)
+    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--escalate", "--out", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "JSON" in captured.err
 
 
 def test_cli_bad_flag_exits_one(capsys):

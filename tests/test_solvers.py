@@ -470,6 +470,20 @@ def test_counters_do_not_depend_on_caching(solver):
     assert runs[0].counters == runs[1].counters
 
 
+def test_tr_counters_do_not_depend_on_caching_after_a_rejected_step():
+    # The tCG products a rerun at the same point reads back belong to the
+    # trust-region step rule, not to the point's cache token.
+    p, _ = rayleigh_problem(8, seed=29)
+    runs = [
+        trust_regions(p, opts=SolverOptions(caching=caching, delta0=math.pi, clock=lambda: 0.0),
+                      rng=np.random.default_rng(30))
+        for caching in (True, False)
+    ]
+    assert any(rec.rho is not None and rec.step_size == 0.0 for rec in runs[0].history)
+    assert runs[0].history == runs[1].history
+    assert runs[0].counters == runs[1].counters
+
+
 def test_records_are_logged_at_debug_level(caplog):
     p, _ = rayleigh_problem(5, seed=25)
     opts = SolverOptions(max_iter=6, clock=lambda: 0.0)
