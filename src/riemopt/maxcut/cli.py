@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--escalate", action="store_true", help="increase r until certified"
     )
-    solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials")
+    solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials per rank added")
     solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
     solve.add_argument("--seed", type=_SEED, default=0)
     solve.add_argument("--solver", choices=("tr", "cg", "sd"), default="tr")

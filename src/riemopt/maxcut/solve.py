@@ -5,13 +5,15 @@ The relaxation optimizes Y in R^{n x r} with unit rows, minimizing
 At a critical Y the dual matrix S = Diag(d) - L with d_i = (L Y Y')_ii
 satisfies S Y ~ 0; if S is (numerically) positive semidefinite, Y Y' solves
 the max-cut SDP globally and trace(L Y Y')/4 is a valid upper bound on any
-cut.  Otherwise the eigenvector of the most negative eigenvalue of S gives
-a descent direction after appending a zero column to Y, which drives the
-rank-escalation loop.
+cut.  Otherwise each eigenvector of a negative eigenvalue of S, placed in a
+zero column appended to Y, is a descent direction; the rank-escalation loop
+grows the rank geometrically and steps off along them.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,6 +29,8 @@ from ..solvers import (
     trust_regions,
 )
 from .graph import cut_value_from_signs
+
+logger = logging.getLogger(__name__)
 
 SOLVERS = {
     "tr": trust_regions,
@@ -118,13 +122,15 @@ def certify(
 ) -> Tuple[bool, Optional[float], Optional[float], Optional[np.ndarray]]:
     """Dual certificate at Y.
 
-    Returns (certified, lambda_min(S), upper_bound, eigenvector of
-    lambda_min).  Certification demands lambda_min >= -tol * ||L||_1 (the
-    induced 1-norm keeps the tolerance scale-aware); the bound is
-    trace(L Y Y')/4.  The certificate holds only at a critical Y: when the
-    Riemannian gradient norm exceeds 1e-6 * max(1, ||L||_F) (for example
-    after ``max_iter``), Y is not certified and there is no bound, nor an
-    eigenpair: the result is (False, None, None, None).
+    Returns (certified, lambda_min(S), upper_bound, V).  Certification
+    demands lambda_min >= -tol * ||L||_1 (the induced 1-norm keeps the
+    tolerance scale-aware); the bound is trace(L Y Y')/4.  The columns of
+    V are the eigenvectors of S whose eigenvalues lie below that threshold,
+    most negative first, so V has no columns exactly when Y is certified.
+    The certificate holds only at a critical Y: when the Riemannian
+    gradient norm exceeds 1e-6 * max(1, ||L||_F) (for example after
+    ``max_iter``), Y is not certified and there is no bound, nor an
+    eigenvector: the result is (False, None, None, None).
     """
     M = elliptope_factory(*Y.shape)
     ly = L @ Y
@@ -133,12 +139,25 @@ def certify(
         return False, None, None, None
     d = np.sum(ly * Y, axis=1)
     S = np.diag(d) - L
-    evals, evecs = np.linalg.eigh(S)
+    evals, evecs = np.linalg.eigh(S)  # ascending
     lam_min = float(evals[0])
-    scale = float(np.linalg.norm(L, 1)) or 1.0
-    certified = lam_min >= -tol * scale
+    threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
+    certified = lam_min >= threshold
     bound = float(np.sum(ly * Y)) / 4.0 if certified else None
-    return certified, lam_min, bound, evecs[:, 0]
+    return certified, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
+
+
+def next_rank(r: int, n: int) -> int:
+    """The rank that escalation tries after r on an n-node graph.
+
+    Below the Barvinok-Pataki rank r_BP, the least r with r(r+1)/2 >= n
+    (that is, ceil((sqrt(8n+1) - 1)/2)), the rank doubles up to r_BP; from
+    r_BP on it doubles up to n.
+    """
+    r_bp = (math.isqrt(8 * n + 1) - 1) // 2
+    if r_bp * (r_bp + 1) // 2 < n:
+        r_bp += 1
+    return min(2 * r, r_bp if r < r_bp else n)
 
 
 def rank_escalation(
@@ -152,12 +171,21 @@ def rank_escalation(
 ) -> CutResult:
     """Escalate the relaxation rank until the dual certificate is PSD.
 
-    At an uncertified critical point the certificate's most negative
-    eigenvector, appended as a fresh column direction, is a descent
-    direction; the next rank is warm-started from a small retracted step
-    along it (falling back to a random tangent if descent is not observed).
-    A rank whose solve stops short of criticality has no certificate and
-    no eigenvector; it escalates from a random tangent step.
+    The ranks tried are r0 (capped at n), then ``next_rank`` of each until
+    one certifies or the rank reaches n.  At an uncertified critical point
+    Y of rank r, the next rank r + k is warm-started from Y padded with k
+    zero columns, stepped along up to k eigenvectors of the certificate's
+    negative eigenvalues, one per new column (``_step_off``; a random
+    tangent if that step does not lower the cost).  A rank whose solve
+    stops short of criticality has no certificate and no eigenvector; it
+    escalates from a random tangent step.  Each rank's Y is rounded with
+    ``trials`` hyperplanes per column added by the step that reached it
+    (``trials`` for the first rank): as much rounding per column added as
+    a schedule that adds one column per rank draws.
+
+    Each rank logs one DEBUG record to this module's logger: the rank, the
+    solver's iterations, lambda_min (None off criticality), the
+    eigenvectors the warm start used and whether the rank certified.
     """
     if r0 < 2:
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
@@ -167,16 +195,28 @@ def rank_escalation(
     histories: List[RunResult] = []
     best_s, best_val = None, -np.inf
     x0 = None
-    r = min(r0, n)
+    r, added = min(r0, n), 1
     while True:
         Y, run = solve_rank_r(L, r, opts, rng, x0=x0, solver=solver)
         histories.append(run)
-        s, val = round_cut(L, Y, trials, rng)
+        s, val = round_cut(L, Y, trials * added, rng)
         if val > best_val:
             best_s, best_val = s, val
 
-        certified, _, bound, v = certify(L, Y, tol)
-        if certified or r >= n:
+        certified, lam_min, bound, V = certify(L, Y, tol)
+        done = certified or r >= n
+        used = 0
+        if not done:
+            r_next = next_rank(r, n)
+            added = r_next - r
+            x0, used = _step_off(L, Y, added, V, rng)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "rank %d: %d iterations, lambda_min %s, %d eigenvectors used, certified %s",
+                r, len(run.history), "None" if lam_min is None else f"{lam_min:.6e}",
+                used, certified,
+            )
+        if done:
             return CutResult(
                 s=best_s,
                 cut_value=best_val,
@@ -185,27 +225,39 @@ def rank_escalation(
                 rank_used=r,
                 histories=histories,
             )
-
-        # Embed at rank r+1 and step off the saddle.
-        y_up = np.hstack([Y, np.zeros((n, 1))])
-        p_up = build_problem(L, r + 1)
-        z = None if v is None else np.hstack([np.zeros((n, r)), v[:, None]])
-        x0 = _step_off(p_up, y_up, z, rng)
-        r += 1
+        r = r_next
 
 
-def _step_off(p: ProblemDef, y: np.ndarray, z, rng) -> np.ndarray:
-    """Warm start near the saddle y: the first of the retracted steps of
-    length 1e-2, 1e-3, 1e-4 along z that lowers the cost, else along a
-    random tangent; y itself when no step does.  A missing z is a random
-    tangent too, drawn first."""
+def _step_off(
+    L: np.ndarray, Y: np.ndarray, k: int, V: Optional[np.ndarray], rng
+) -> Tuple[np.ndarray, int]:
+    """Warm start at rank r + k near the critical n x r point Y.
+
+    Y padded with k zero columns is y.  The first m = min(k, #columns of V)
+    new columns of z are the first m columns of V, the rest of z is zero;
+    z is tangent at y, and each eigenvalue below zero lowers the cost to
+    second order, so only the certificate's negative eigenvectors go in.
+    The start is the first of the retracted steps of length 1e-2, 1e-3,
+    1e-4 along z that lowers the cost, else along a random tangent; y
+    itself when no step does.  A missing V (Y was not critical) gives a
+    random tangent too, drawn first.  Returns the start and m, or 0 when
+    the step along z was not taken.
+    """
+    n, r = Y.shape
+    p = build_problem(L, r + k)
     M = p.manifold
+    y = np.hstack([Y, np.zeros((n, k))])
+    z, m = None, 0
+    if V is not None:
+        m = min(k, V.shape[1])
+        z = np.zeros_like(y)
+        z[:, r : r + m] = V[:, :m]
     f0 = get_cost(p, y)
-    for direction in (z, None):
+    for direction, used in ((z, m), (None, 0)):
         if direction is None:
             direction = M.rand_tangent(y, rng)
         for t in (1e-2, 1e-3, 1e-4):
             cand = M.retract(y, direction, t)
             if get_cost(p, cand) < f0:
-                return cand
-    return y
+                return cand, used
+    return y, 0

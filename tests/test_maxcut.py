@@ -2,6 +2,7 @@
 rounding, dual certification, rank escalation, and the CLI."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from riemopt.maxcut import (
     run_cli,
     solve_rank_r,
 )
+from riemopt.maxcut import solve as maxcut_solve
+from riemopt.maxcut.solve import next_rank
 from riemopt.solvers import RunResult
 
 from _helpers import CountingMatrix
@@ -321,24 +324,28 @@ def test_escalation_k5_bound_and_cut():
     assert res.cut_value == pytest.approx(6.0)
 
 
-def test_escalation_actually_escalates():
-    # A weighted random graph/seed pair where the rank-2 solve lands at an
-    # uncertified critical point, so the certificate eigenvector step and a
-    # rank-3 warm start are exercised.
-    rng = np.random.default_rng(0)
-    n = 10
+def _weighted_gnp(n, seed, p=0.5):
+    """G(n, p) with weights uniform in [0, 1), drawn pair by pair."""
+    rng = np.random.default_rng(seed)
     edges = [
         (i, j, float(rng.random()))
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
-        if rng.random() < 0.5
+        if rng.random() < p
     ]
-    L = laplacian(Graph.from_edges(n, edges))
+    return Graph.from_edges(n, edges)
+
+
+def test_escalation_actually_escalates():
+    # A weighted random graph/seed pair where the rank-2 solve lands at an
+    # uncertified critical point, so the certificate eigenvector step and a
+    # rank-4 warm start (n = 10: r_BP = 4) are exercised.
+    L = laplacian(_weighted_gnp(10, seed=0))
     res = rank_escalation(L, rng=np.random.default_rng(2), trials=100)
-    assert res.rank_used == 3
+    assert [run.x_final.shape[1] for run in res.histories] == [2, 4]
+    assert res.rank_used == 4
     assert res.certified
-    assert len(res.histories) == 2
-    # Warm-start invariant: the rank-3 solve starts from an embedding of the
+    # Warm-start invariant: the rank-4 solve starts from an embedding of the
     # rank-2 optimum, so its final cost cannot be worse.
     finals = [run.cost_final for run in res.histories]
     assert finals[1] <= finals[0] + 1e-9
@@ -346,18 +353,166 @@ def test_escalation_actually_escalates():
 
 
 def test_escalation_carries_on_past_noncritical_ranks():
-    # Five iterations leave the first ranks short of criticality: they get
+    # A few iterations leave the first ranks short of criticality: they get
     # no certificate and no eigenvector, and escalation steps off them
-    # along a random tangent until a rank certifies.
+    # along a random tangent.  n = 20: r_BP = 6, so the ranks are 2, 4, 6,
+    # 12, 20.  With 7 iterations a rank the doubling reaches certifies;
+    # with 5 none does, and escalation stops at n without a bound.
     L = laplacian(_ring_with_chords(20, seed=1))
-    res = rank_escalation(L, opts=SolverOptions(max_iter=5), rng=np.random.default_rng(2))
-    first = res.histories[0]
-    assert first.stop_reason == "max_iter"
-    assert first.grad_norm_final > _critical_threshold(L)
-    assert res.rank_used > 3
-    assert len(res.histories) == res.rank_used - 1
+    for max_iter, ranks, certified in ((7, [2, 4, 6, 12], True), (5, [2, 4, 6, 12, 20], False)):
+        res = rank_escalation(L, opts=SolverOptions(max_iter=max_iter),
+                              rng=np.random.default_rng(2))
+        first = res.histories[0]
+        assert first.stop_reason == "max_iter"
+        assert first.grad_norm_final > _critical_threshold(L)
+        assert [run.x_final.shape[1] for run in res.histories] == ranks
+        assert res.rank_used == ranks[-1]
+        assert res.certified is certified
+        if certified:
+            assert res.cut_value <= res.upper_bound + 1e-9
+        else:
+            assert res.upper_bound is None
+
+
+def test_next_rank_doubles_up_to_barvinok_pataki_then_up_to_n():
+    for n in range(1, 2001):
+        r_bp = math.ceil((math.sqrt(8 * n + 1) - 1) / 2)
+        assert r_bp * (r_bp + 1) // 2 >= n > (r_bp - 1) * r_bp // 2
+        for r in {1, r_bp // 2, r_bp - 1, r_bp, r_bp + 1, n // 2, n - 1}:
+            if 1 <= r < n:
+                expected = min(2 * r, r_bp) if r < r_bp else min(2 * r, n)
+                assert next_rank(r, n) == expected
+
+
+@pytest.mark.parametrize(
+    "n, r0, ranks",
+    [
+        (3, 2, [2, 3]),  # r_BP = 2
+        (10, 2, [2, 4, 8, 10]),  # r_BP = 4
+        (20, 2, [2, 4, 6, 12, 20]),  # r_BP = 6
+        (50, 3, [3, 6, 10, 20, 40, 50]),  # r_BP = 10
+        (20, 6, [6, 12, 20]),  # r0 = r_BP
+        (20, 7, [7, 14, 20]),  # r0 > r_BP
+        (5, 5, [5]),  # r0 = n
+        (20, 25, [20]),  # r0 > n
+    ],
+)
+def test_escalation_visits_the_rank_schedule(monkeypatch, n, r0, ranks):
+    # No rank certifies, so escalation runs until the rank reaches n.
+    monkeypatch.setattr(maxcut_solve, "certify", lambda L, Y, tol: (False, None, None, None))
+    L = laplacian(_ring_with_chords(n, seed=3))
+    res = rank_escalation(L, r0=r0, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4))
+    assert [run.x_final.shape[1] for run in res.histories] == ranks
+    assert res.rank_used == ranks[-1] and not res.certified
+
+
+def test_escalation_rounds_with_trials_per_column_added(monkeypatch):
+    trials_seen = []
+    real = maxcut_solve.round_cut
+
+    def spy(L, Y, trials, rng):
+        trials_seen.append((Y.shape[1], trials))
+        return real(L, Y, trials, rng)
+
+    monkeypatch.setattr(maxcut_solve, "round_cut", spy)
+    monkeypatch.setattr(maxcut_solve, "certify", lambda L, Y, tol: (False, None, None, None))
+    L = laplacian(_ring_with_chords(20, seed=3))
+    rank_escalation(L, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4), trials=7)
+    assert trials_seen == [(2, 7), (4, 14), (6, 14), (12, 42), (20, 56)]
+
+
+def _saddle_at_rank_6():
+    """A critical, uncertified Y on a weighted 20-node graph: a rank-2
+    optimum padded with four zero columns.  Its S has one negative
+    eigenvalue, two zeros (S Y = 0) and positive ones after those, so the
+    six smallest eigenvalues sum to more than zero."""
+    L = laplacian(_weighted_gnp(20, seed=1))
+    Y2, run = solve_rank_r(L, 2, rng=np.random.default_rng(1))
+    return L, np.hstack([Y2, np.zeros((20, 4))]), run
+
+
+def _dual_matrix(L, Y):
+    return np.diag(np.sum((L @ Y) * Y, axis=1)) - L
+
+
+def test_certify_returns_the_eigenvectors_below_the_threshold():
+    L, Y, _ = _saddle_at_rank_6()
+    certified, lam_min, bound, V = certify(L, Y)
+    S = _dual_matrix(L, Y)
+    evals = np.linalg.eigvalsh(S)
+    threshold = -1e-6 * np.linalg.norm(L, 1)
+    assert not certified and bound is None
+    assert V.shape == (20, np.count_nonzero(evals < threshold)) == (20, 1)
+    lams = np.sum(V * (S @ V), axis=0)  # Rayleigh quotients of unit vectors
+    np.testing.assert_allclose(S @ V, V * lams, atol=1e-10)
+    assert np.all(lams < threshold)
+    assert lams[0] == pytest.approx(lam_min)
+    assert evals[:6].sum() > 0
+    # At a certified point there is no such eigenvector.
+    Yc, _ = solve_rank_r(L, 12, rng=np.random.default_rng(1))
+    certified, _, _, V = certify(L, Yc)
+    assert certified and V.shape == (20, 0)
+
+
+def test_warm_start_steps_along_negative_eigenvectors_only():
+    L, Y, _ = _saddle_at_rank_6()
+    _, _, _, V = certify(L, Y)
+    x0, used = maxcut_solve._step_off(L, Y, 6, V, np.random.default_rng(3))
+    p = build_problem(L, 12)
+    y = np.hstack([Y, np.zeros((20, 6))])
+    assert used == 1
+    assert get_cost(p, x0) < get_cost(p, y)
+    assert np.any(x0[:, 6] != 0)
+    np.testing.assert_array_equal(x0[:, 7:], 0.0)  # one new column per eigenvector
+    # Filling all six new columns with the six smallest eigenvectors, the
+    # positive ones included, raises the cost at every step length.
+    z = np.zeros_like(y)
+    z[:, 6:] = np.linalg.eigh(_dual_matrix(L, Y))[1][:, :6]
+    for t in (1e-2, 1e-3, 1e-4):
+        assert get_cost(p, p.manifold.retract(y, z, t)) > get_cost(p, y)
+
+
+def test_escalation_does_not_run_to_n_from_a_saddle(monkeypatch):
+    # The first rank "solves" to the saddle; the warm start must leave it.
+    L, Y, run = _saddle_at_rank_6()
+    real = maxcut_solve.solve_rank_r
+
+    def saddle_first(L, r, opts=None, rng=None, x0=None, solver="tr"):
+        if x0 is None:
+            return Y, run
+        return real(L, r, opts, rng, x0=x0, solver=solver)
+
+    monkeypatch.setattr(maxcut_solve, "solve_rank_r", saddle_first)
+    res = rank_escalation(L, r0=6, rng=np.random.default_rng(3))
     assert res.certified
+    assert res.rank_used == 12 < 20
+    assert [r.x_final.shape[1] for r in res.histories[1:]] == [12]
+    assert res.histories[1].history[0].cost < get_cost(build_problem(L, 6), Y)
     assert res.cut_value <= res.upper_bound + 1e-9
+
+
+def test_escalation_logs_one_debug_record_per_rank(caplog):
+    L = laplacian(_weighted_gnp(10, seed=0))
+    with caplog.at_level(logging.DEBUG, logger="riemopt.maxcut.solve"):
+        res = rank_escalation(L, rng=np.random.default_rng(2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "riemopt.maxcut.solve"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "riemopt.maxcut.solve")
+    assert len(messages) == len(res.histories) == 2
+    assert messages[0] == (
+        "rank 2: 12 iterations, lambda_min -2.453213e-01, 1 eigenvectors used, certified False"
+    )
+    assert messages[1].startswith("rank 4: 7 iterations, lambda_min ")
+    assert messages[1].endswith(", 0 eigenvectors used, certified True")
+
+
+def test_escalation_formats_no_log_message_when_debug_is_off(monkeypatch, caplog):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("debug message formatted with DEBUG off")
+
+    monkeypatch.setattr(maxcut_solve.logger, "debug", must_not_run)
+    with caplog.at_level(logging.INFO, logger="riemopt.maxcut.solve"):
+        res = rank_escalation(laplacian(_weighted_gnp(10, seed=0)), rng=np.random.default_rng(2))
+    assert res.certified
 
 
 def test_escalation_requires_r0_at_least_two():
