@@ -17,9 +17,5 @@ class RankCollapseError(RiemoptError, RuntimeError):
     """A fixed-rank retraction produced a numerically rank-deficient point."""
 
 
-class UnsupportedOperationError(RiemoptError, RuntimeError):
-    """The requested geometry operation is not available on this manifold."""
-
-
 class MissingDerivativeError(RiemoptError, ValueError):
     """The problem definition lacks a derivative required by the caller."""

@@ -16,11 +16,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..exceptions import (
-    DegenerateStepError,
-    DimensionMismatchError,
-    UnsupportedOperationError,
-)
+from ..exceptions import DegenerateStepError, DimensionMismatchError
 
 Point = Any
 Tangent = Any
@@ -86,16 +82,6 @@ class ManifoldDescriptor:
         raise DegenerateStepError(
             f"{self.name}: random ambient samples kept projecting to zero"
         )
-
-    def apply_ehess2rhess(
-        self, x: Point, egrad: Ambient, ehess_u: Ambient, u: Tangent
-    ) -> Tangent:
-        """One-shot conversion: ``ehess2rhess(x, egrad)(ehess_u, u)``."""
-        if self.ehess2rhess is None:
-            raise UnsupportedOperationError(
-                f"{self.name} has no exact ehess2rhess; use the FD Hessian"
-            )
-        return self.ehess2rhess(x, egrad)(ehess_u, u)
 
 
 # --- helpers shared by the dense-array factories -------------------------

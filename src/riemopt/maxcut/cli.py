@@ -97,7 +97,7 @@ def _emit_solve(args, result_fields: dict, histories) -> None:
         print(json.dumps(result_fields, allow_nan=False))
     elif args.out == "csv":
         print(",".join(result_fields.keys()))
-        print(",".join("" if v is None else str(v) for v in result_fields.values()))
+        print(",".join(str(v) for v in result_fields.values()))
     else:
         for key, value in result_fields.items():
             print(f"{key}: {value}")
@@ -109,6 +109,10 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    if args.command == "check" and args.rank < 2:
+        print("error: check needs --rank >= 2: the rank-1 elliptope has dimension 0, "
+              "so there is no tangent direction to test", file=sys.stderr)
+        return 1
 
     try:
         g = load_graph(args.graph)

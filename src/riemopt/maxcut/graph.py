@@ -93,9 +93,8 @@ def load_graph(path) -> Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - W (symmetric, PSD, zero row sums), dense.
 
-    Raises ValueError when ||L||_F is not finite: the certificate measures
-    criticality against that norm, and the relaxation's arithmetic would
-    overflow on such weights.
+    Raises ValueError when ||L||_F is not finite: the relaxation's
+    arithmetic would overflow on such weights.
     """
     w = np.zeros((g.n, g.n))
     for i, j, weight in g.edges:

@@ -2,12 +2,14 @@
 
 The relaxation optimizes Y in R^{n x r} with unit rows, minimizing
 -trace(Y'LY)/4.  Random hyperplane rounding turns Y into a sign vector.
-At a critical Y the dual matrix S = Diag(d) - L with d_i = (L Y Y')_ii
-satisfies S Y ~ 0; if S is (numerically) positive semidefinite, Y Y' solves
-the max-cut SDP globally and trace(L Y Y')/4 is a valid upper bound on any
-cut.  Otherwise each eigenvector of a negative eigenvalue of S, placed in a
-zero column appended to Y, is a descent direction; the rank-escalation loop
-grows the rank geometrically and steps off along them.
+At any Y the dual matrix S = Diag(d) - L with d_i = (L Y Y')_ii gives, by
+weak duality, the upper bound (trace(L Y Y') - n min(lambda_min(S), 0))/4
+on every cut.  If S is (numerically) positive semidefinite, Y Y' solves the
+max-cut SDP and the bound is its optimum up to the tolerance.  Otherwise
+each eigenvector of a negative eigenvalue of S, placed in a zero column
+appended to Y, is a descent direction to second order; the
+rank-escalation loop grows the rank geometrically and steps off along
+them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ SOLVERS = {
 class CutResult:
     s: np.ndarray  # sign vector in {+1, -1}^n
     cut_value: float
-    upper_bound: Optional[float]
+    upper_bound: float
     certified: bool
     rank_used: int
     histories: List[RunResult] = field(default_factory=list)
@@ -119,32 +121,26 @@ def round_cut(
 
 def certify(
     L: np.ndarray, Y: np.ndarray, tol: float = 1e-6
-) -> Tuple[bool, Optional[float], Optional[float], Optional[np.ndarray]]:
-    """Dual certificate at Y.
+) -> Tuple[bool, float, float, np.ndarray]:
+    """Dual certificate and upper bound at Y.
 
-    Returns (certified, lambda_min(S), upper_bound, V).  Certification
+    Returns (certified, lambda_min(S), upper_bound, V).  For any mu <=
+    lambda_min(S), d - mu 1 is feasible for the SDP's dual, so the bound
+    (trace(L Y Y') - n min(lambda_min, 0))/4 holds for every cut at every
+    Y, critical or not (up to the rounding of ``eigh``).  Certification
     demands lambda_min >= -tol * ||L||_1 (the induced 1-norm keeps the
-    tolerance scale-aware); the bound is trace(L Y Y')/4.  The columns of
-    V are the eigenvectors of S whose eigenvalues lie below that threshold,
-    most negative first, so V has no columns exactly when Y is certified.
-    The certificate holds only at a critical Y: when the Riemannian
-    gradient norm exceeds 1e-6 * max(1, ||L||_F) (for example after
-    ``max_iter``), Y is not certified and there is no bound, nor an
-    eigenvector: the result is (False, None, None, None).
+    tolerance scale-aware); the bound of a certified Y then exceeds
+    trace(L Y Y')/4, the relaxation's value at Y, by at most
+    n tol ||L||_1 / 4.  The columns of V are the eigenvectors of S whose
+    eigenvalues lie below that threshold, most negative first, so V has no
+    columns exactly when Y is certified.
     """
-    M = elliptope_factory(*Y.shape)
-    ly = L @ Y
-    gnorm = M.norm(Y, M.proj(Y, ly * -0.5))  # the Riemannian gradient's norm
-    if gnorm > 1e-6 * max(1.0, float(np.linalg.norm(L))):
-        return False, None, None, None
-    d = np.sum(ly * Y, axis=1)
-    S = np.diag(d) - L
-    evals, evecs = np.linalg.eigh(S)  # ascending
+    lyy = (L @ Y) * Y  # row i sums to d_i; all of it to trace(L Y Y')
+    evals, evecs = np.linalg.eigh(np.diag(np.sum(lyy, axis=1)) - L)  # ascending
     lam_min = float(evals[0])
     threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
-    certified = lam_min >= threshold
-    bound = float(np.sum(ly * Y)) / 4.0 if certified else None
-    return certified, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
+    bound = (float(np.sum(lyy)) - Y.shape[0] * min(lam_min, 0.0)) / 4.0
+    return lam_min >= threshold, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
 
 
 def next_rank(r: int, n: int) -> int:
@@ -172,20 +168,20 @@ def rank_escalation(
     """Escalate the relaxation rank until the dual certificate is PSD.
 
     The ranks tried are r0 (capped at n), then ``next_rank`` of each until
-    one certifies or the rank reaches n.  At an uncertified critical point
-    Y of rank r, the next rank r + k is warm-started from Y padded with k
-    zero columns, stepped along up to k eigenvectors of the certificate's
-    negative eigenvalues, one per new column (``_step_off``; a random
-    tangent if that step does not lower the cost).  A rank whose solve
-    stops short of criticality has no certificate and no eigenvector; it
-    escalates from a random tangent step.  Each rank's Y is rounded with
-    ``trials`` hyperplanes per column added by the step that reached it
-    (``trials`` for the first rank): as much rounding per column added as
-    a schedule that adds one column per rank draws.
+    one certifies or the rank reaches n.  At an uncertified point Y of
+    rank r, critical or not (a solve may stop at ``max_iter``), the next
+    rank r + k is warm-started from Y padded with k zero columns, stepped
+    along up to k eigenvectors of the certificate's negative eigenvalues,
+    one per new column (``_step_off``; a random tangent if that step does
+    not lower the cost).  Each rank's Y is rounded with ``trials``
+    hyperplanes per column added by the step that reached it (``trials``
+    for the first rank): as much rounding per column added as a schedule
+    that adds one column per rank draws.  The result carries the last
+    rank's bound, which holds for every cut whether it certified or not.
 
     Each rank logs one DEBUG record to this module's logger: the rank, the
-    solver's iterations, lambda_min (None off criticality), the
-    eigenvectors the warm start used and whether the rank certified.
+    solver's iterations, lambda_min, the eigenvectors the warm start used
+    and whether the rank certified.
     """
     if r0 < 2:
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
@@ -212,9 +208,8 @@ def rank_escalation(
             x0, used = _step_off(L, Y, added, V, rng)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "rank %d: %d iterations, lambda_min %s, %d eigenvectors used, certified %s",
-                r, len(run.history), "None" if lam_min is None else f"{lam_min:.6e}",
-                used, certified,
+                "rank %d: %d iterations, lambda_min %.6e, %d eigenvectors used, certified %s",
+                r, len(run.history), lam_min, used, certified,
             )
         if done:
             return CutResult(
@@ -229,29 +224,29 @@ def rank_escalation(
 
 
 def _step_off(
-    L: np.ndarray, Y: np.ndarray, k: int, V: Optional[np.ndarray], rng
+    L: np.ndarray, Y: np.ndarray, k: int, V: np.ndarray, rng
 ) -> Tuple[np.ndarray, int]:
-    """Warm start at rank r + k near the critical n x r point Y.
+    """Warm start at rank r + k near the n x r point Y (unit rows).
 
     Y padded with k zero columns is y.  The first m = min(k, #columns of V)
-    new columns of z are the first m columns of V, the rest of z is zero;
-    z is tangent at y, and each eigenvalue below zero lowers the cost to
-    second order, so only the certificate's negative eigenvectors go in.
-    The start is the first of the retracted steps of length 1e-2, 1e-3,
-    1e-4 along z that lowers the cost, else along a random tangent; y
-    itself when no step does.  A missing V (Y was not critical) gives a
-    random tangent too, drawn first.  Returns the start and m, or 0 when
-    the step along z was not taken.
+    new columns of z are the first m columns of V, the rest of z is zero.
+    z is tangent at y, and it needs no critical Y: the gradient's block in
+    the new columns of y is zero, so the cost's slope along z is zero, and
+    <z, Hess z> = sum of v'Sv / 2 over those columns v of V at any unit-row
+    Y.  Each eigenvalue below zero thus lowers the cost to second order,
+    so only the certificate's negative eigenvectors go in.  The start is
+    the first of the retracted steps of length 1e-2, 1e-3, 1e-4 along z
+    that lowers the cost, else along a random tangent; y itself when no
+    step does.  Returns the start and m, or 0 when the step along z was
+    not taken.
     """
     n, r = Y.shape
     p = build_problem(L, r + k)
     M = p.manifold
     y = np.hstack([Y, np.zeros((n, k))])
-    z, m = None, 0
-    if V is not None:
-        m = min(k, V.shape[1])
-        z = np.zeros_like(y)
-        z[:, r : r + m] = V[:, :m]
+    m = min(k, V.shape[1])
+    z = np.zeros_like(y)
+    z[:, r : r + m] = V[:, :m]
     f0 = get_cost(p, y)
     for direction, used in ((z, m), (None, 0)):
         if direction is None:

@@ -25,8 +25,8 @@ NONFINITE = "nonfinite"
 
 @dataclass
 class SolverOptions:
-    """Configuration shared by all solvers; unknown fields are ignored by
-    solvers that do not use them.
+    """Configuration shared by all solvers; a solver ignores the fields it
+    does not use (an unknown field name raises TypeError).
 
     Line-search fields apply to steepest descent and conjugate gradients;
     the ``delta_*`` / ``tcg_*`` fields to the trust-region method.  A

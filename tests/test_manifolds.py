@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from riemopt import (
+    ProblemDef,
     elliptope_factory,
     euclidean_factory,
     fixed_rank_factory,
@@ -25,7 +26,6 @@ from riemopt.exceptions import (
     DegenerateStepError,
     DimensionMismatchError,
     RankCollapseError,
-    UnsupportedOperationError,
 )
 
 from _helpers import (
@@ -148,19 +148,20 @@ def test_ehess2rhess_examples():
     egrad = np.array([3.0, 4.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])
     np.testing.assert_allclose(
-        S.apply_ehess2rhess(e1, egrad, np.zeros(3), u), [0.0, -3.0, 0.0]
+        S.ehess2rhess(e1, egrad)(np.zeros(3), u), [0.0, -3.0, 0.0]
     )
     E = euclidean_factory(3)
     h = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(E.apply_ehess2rhess(np.zeros(3), h, h, h), h)
+    np.testing.assert_allclose(E.ehess2rhess(np.zeros(3), h)(h, h), h)
 
 
 def test_fixed_rank_ehess_unsupported():
     FR = fixed_rank_factory(5, 4, 2)
-    x = FR.rand_point(np.random.default_rng(0))
-    u = FR.rand_tangent(x, np.random.default_rng(1))
-    with pytest.raises(UnsupportedOperationError):
-        FR.apply_ehess2rhess(x, np.zeros((5, 4)), np.zeros((5, 4)), u)
+    assert FR.ehess2rhess is None
+    zero = np.zeros((5, 4))
+    p = ProblemDef(manifold=FR, cost=lambda x: 0.0, egrad=lambda x: zero,
+                   ehess=lambda x, u: zero)
+    assert p.hessian_source == "fd-fallback"
 
 
 def test_transport_examples():

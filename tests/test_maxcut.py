@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemopt import CacheStore, SolverOptions, check_gradient, check_hessian, get_cost, get_gradient
 from riemopt.maxcut import (
@@ -273,7 +275,8 @@ def test_certify_c4():
 
 
 def _critical_threshold(L):
-    """certify's gradient-norm threshold for calling Y critical."""
+    """A gradient norm above this leaves Y clearly short of criticality at
+    the scale of L."""
     return 1e-6 * max(1.0, float(np.linalg.norm(L)))
 
 
@@ -286,11 +289,51 @@ def _ring_with_chords(n, seed):
 
 
 def test_certify_rejects_noncritical_point():
+    # Off criticality there is still a verdict, eigenvectors and a bound.
     L = laplacian(k5())
     p = build_problem(L, 2)
     y = p.manifold.rand_point(np.random.default_rng(13))
     assert p.manifold.norm(y, get_gradient(p, y)) > _critical_threshold(L)
-    assert certify(L, y) == (False, None, None, None)
+    certified, lam_min, bound, V = certify(L, y)
+    assert not certified and V.shape[1] >= 1
+    assert bound == pytest.approx((np.sum((L @ y) * y) - 5 * lam_min) / 4)
+    assert bound >= brute_force_max_cut(k5())[0]
+
+
+_WEIGHTS = {
+    "unit": st.just(1.0),
+    "int": st.integers(1, 9).map(float),
+    "dec": st.integers(50, 250).map(lambda c: c / 100),
+}
+
+
+@st.composite
+def _graph_and_point(draw):
+    """A graph on 2..8 nodes with unit, integer or two-decimal weights, a
+    rank from 1 to n and a random unit-row Y of that rank (not solved)."""
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    weight = _WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))]
+    edges = [(i, j, draw(weight)) for i, j in pairs if draw(st.booleans())]
+    r = draw(st.integers(1, n))
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, r))
+    return Graph.from_edges(n, edges), y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_graph_and_point(), st.sampled_from([1e-6, 1e-3]))
+def test_certify_bounds_every_cut_at_any_point(graph_and_point, tol):
+    g, Y = graph_and_point
+    L = laplacian(g)
+    n = g.n
+    certified, lam_min, bound, V = certify(L, Y, tol)
+    exact, _ = brute_force_max_cut(g)
+    scale = max(1.0, float(np.abs(L).sum()))
+    assert exact <= bound + 1e-12 * scale
+    assert (V.shape[1] == 0) is certified
+    if certified:
+        value = float(np.sum((L @ Y) * Y)) / 4.0
+        assert bound - value <= n * tol * np.linalg.norm(L, 1) / 4.0 + 1e-12 * scale
 
 
 # --- rank escalation ---------------------------------------------------------
@@ -353,11 +396,11 @@ def test_escalation_actually_escalates():
 
 
 def test_escalation_carries_on_past_noncritical_ranks():
-    # A few iterations leave the first ranks short of criticality: they get
-    # no certificate and no eigenvector, and escalation steps off them
-    # along a random tangent.  n = 20: r_BP = 6, so the ranks are 2, 4, 6,
-    # 12, 20.  With 7 iterations a rank the doubling reaches certifies;
-    # with 5 none does, and escalation stops at n without a bound.
+    # A few iterations leave the first ranks short of criticality; they
+    # still get a verdict, eigenvectors to step along and a bound.  n = 20:
+    # r_BP = 6, so the ranks are 2, 4, 6, 12, 20.  With 7 iterations a
+    # rank the doubling reaches certifies; with 5 none does, and escalation
+    # stops at n with an uncertified bound.
     L = laplacian(_ring_with_chords(20, seed=1))
     for max_iter, ranks, certified in ((7, [2, 4, 6, 12], True), (5, [2, 4, 6, 12, 20], False)):
         res = rank_escalation(L, opts=SolverOptions(max_iter=max_iter),
@@ -368,10 +411,7 @@ def test_escalation_carries_on_past_noncritical_ranks():
         assert [run.x_final.shape[1] for run in res.histories] == ranks
         assert res.rank_used == ranks[-1]
         assert res.certified is certified
-        if certified:
-            assert res.cut_value <= res.upper_bound + 1e-9
-        else:
-            assert res.upper_bound is None
+        assert res.cut_value <= res.upper_bound + 1e-9
 
 
 def test_next_rank_doubles_up_to_barvinok_pataki_then_up_to_n():
@@ -382,6 +422,12 @@ def test_next_rank_doubles_up_to_barvinok_pataki_then_up_to_n():
             if 1 <= r < n:
                 expected = min(2 * r, r_bp) if r < r_bp else min(2 * r, n)
                 assert next_rank(r, n) == expected
+
+
+def _never_certified(L, Y, tol):
+    """An uncertified certificate: lambda_min -1, the total edge weight as
+    the bound, and one unit vector to step along."""
+    return False, -1.0, float(np.trace(L)) / 2.0, np.eye(L.shape[0], 1)
 
 
 @pytest.mark.parametrize(
@@ -399,7 +445,7 @@ def test_next_rank_doubles_up_to_barvinok_pataki_then_up_to_n():
 )
 def test_escalation_visits_the_rank_schedule(monkeypatch, n, r0, ranks):
     # No rank certifies, so escalation runs until the rank reaches n.
-    monkeypatch.setattr(maxcut_solve, "certify", lambda L, Y, tol: (False, None, None, None))
+    monkeypatch.setattr(maxcut_solve, "certify", _never_certified)
     L = laplacian(_ring_with_chords(n, seed=3))
     res = rank_escalation(L, r0=r0, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4))
     assert [run.x_final.shape[1] for run in res.histories] == ranks
@@ -415,7 +461,7 @@ def test_escalation_rounds_with_trials_per_column_added(monkeypatch):
         return real(L, Y, trials, rng)
 
     monkeypatch.setattr(maxcut_solve, "round_cut", spy)
-    monkeypatch.setattr(maxcut_solve, "certify", lambda L, Y, tol: (False, None, None, None))
+    monkeypatch.setattr(maxcut_solve, "certify", _never_certified)
     L = laplacian(_ring_with_chords(20, seed=3))
     rank_escalation(L, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4), trials=7)
     assert trials_seen == [(2, 7), (4, 14), (6, 14), (12, 42), (20, 56)]
@@ -441,7 +487,9 @@ def test_certify_returns_the_eigenvectors_below_the_threshold():
     S = _dual_matrix(L, Y)
     evals = np.linalg.eigvalsh(S)
     threshold = -1e-6 * np.linalg.norm(L, 1)
-    assert not certified and bound is None
+    assert not certified
+    assert bound == pytest.approx((np.sum((L @ Y) * Y) - 20 * lam_min) / 4)
+    assert bound >= round_cut(L, Y, 100, np.random.default_rng(0))[1]
     assert V.shape == (20, np.count_nonzero(evals < threshold)) == (20, 1)
     lams = np.sum(V * (S @ V), axis=0)  # Rayleigh quotients of unit vectors
     np.testing.assert_allclose(S @ V, V * lams, atol=1e-10)
@@ -620,9 +668,9 @@ def test_cli_noncritical_solve_is_not_certified(tmp_path, capsys):
     code = run_cli(["solve", "--graph", str(graph), "--rank", "3", "--max-iter", "5",
                     "--seed", "3", "--out", "json", "--timing", "none",
                     "--history", str(hist)])
-    out = capsys.readouterr().out
+    out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert '"certified": false' in out and '"bound": null' in out
+    assert out["certified"] is False and out["cut"] <= out["bound"]
     last = hist.read_text().splitlines()[-1].split(",")
     assert int(last[0]) == 5
     assert float(last[2]) > _critical_threshold(laplacian(g))
@@ -730,6 +778,7 @@ def test_cli_solver_choices(tmp_path, capsys):
         (["solve", "--tol", "inf"], "--tol: must be positive and finite"),
         (["solve", "--seed=-1"], "--seed: must be >= 0"),
         (["check", "--seed=-1"], "--seed: must be >= 0"),
+        (["check", "--rank", "1"], "check needs --rank >= 2"),  # no tangent direction
     ],
 )
 def test_cli_out_of_range_option_exits_one(tmp_path, capsys, argv, message):

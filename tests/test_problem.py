@@ -178,7 +178,7 @@ def test_hessian_resolution_priority():
 
     def rhess(x, u):
         used.append("rhess")
-        return M.apply_ehess2rhess(x, -2.0 * a @ x, -2.0 * a @ u, u)
+        return M.ehess2rhess(x, -2.0 * a @ x)(-2.0 * a @ u, u)
 
     kw = dict(manifold=M, cost=lambda x: -float(x @ a @ x), egrad=lambda x: -2.0 * a @ x)
     p_both = ProblemDef(ehess=ehess, rhess=rhess, **kw)

@@ -48,7 +48,7 @@ def _sphere_callables(calls):
 
     def rhess(x, u):
         calls.append("rhess")
-        return M.apply_ehess2rhess(x, -2.0 * a @ x, -2.0 * a @ u, u)
+        return M.ehess2rhess(x, -2.0 * a @ x)(-2.0 * a @ u, u)
 
     fns = dict(egrad=egrad, rgrad=rgrad, ehess=ehess, rhess=rhess)
     return M, (lambda x: -float(x @ a @ x)), fns
