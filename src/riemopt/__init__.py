@@ -26,6 +26,7 @@ from .problem import (
     get_cost,
     get_gradient,
     get_hessian,
+    hessian_at,
 )
 from .solvers import (
     IterationRecord,
@@ -65,6 +66,7 @@ __all__ = [
     "get_cost",
     "get_gradient",
     "get_hessian",
+    "hessian_at",
     "approx_hessian_fd",
     "check_problem",
     "SolverOptions",

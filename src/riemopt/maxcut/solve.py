@@ -52,37 +52,43 @@ class CutResult:
 
     @property
     def total_iterations(self) -> int:
-        return sum(len(r.history) for r in self.histories)
+        """Iterations over all solves: each solve's last record's
+        ``iteration`` (its history also holds the iteration-0 record)."""
+        return sum(r.history[-1].iteration for r in self.histories if r.history)
 
 
 def build_problem(L: np.ndarray, r: int) -> ProblemDef:
     """Relaxed max-cut problem on the rank-r elliptope.
 
     cost(Y) = -trace(Y'LY)/4, egrad(Y) = -(LY)/2, ehess(Y, U) = -(LU)/2.
-    The product LY is stored in the per-point cache so the cost and the
-    gradient share one multiply; the solvers' cache store keeps egrad per
-    point, so Hessian-vector products at that point cost one LU each.
-    Every product is a plain ``L @ ·``, so an ndarray subclass of L sees
-    (and can count) each one.
+    The factor -1/2 is folded into Lh = L * -0.5 once, here: scaling by a
+    power of two is exact, so Lh @ Y has the bits of (L @ Y) * -0.5 (up to
+    subnormal products, which need weights below about 1e-290), and
+    cost(Y) = <Y, Lh Y>/2.  The product Lh Y is stored in the per-point
+    cache so the cost and the gradient share one multiply; the solvers'
+    cache store keeps egrad per point, so Hessian-vector products at that
+    point cost one Lh U each.  Every product is a plain ``Lh @ ·``, and
+    Lh keeps the ndarray subclass of L, so a ``CountingMatrix`` view of L
+    sees (and counts) each one.
     """
     if r < 1:
         raise ValueError(f"build_problem: rank must be >= 1, got {r}")
     manifold = elliptope_factory(L.shape[0], r)
+    Lh = L * -0.5
 
-    def cached_ly(y: np.ndarray, cache: dict) -> np.ndarray:
-        if "LY" not in cache:
-            cache["LY"] = L @ y
-        return cache["LY"]
+    def cached_lhy(y: np.ndarray, cache: dict) -> np.ndarray:
+        if "LhY" not in cache:
+            cache["LhY"] = Lh @ y
+        return cache["LhY"]
 
     def cost(y, cache):
-        return -float(np.vdot(y, cached_ly(y, cache))) / 4.0
+        return float(np.vdot(y, cached_lhy(y, cache))) / 2.0
 
-    # Times -0.5 in one pass: the same bits as negating, then halving.
     def egrad(y, cache):
-        return cached_ly(y, cache) * -0.5
+        return cached_lhy(y, cache)
 
     def ehess(y, u):
-        return (L @ u) * -0.5
+        return Lh @ u
 
     return ProblemDef(manifold=manifold, cost=cost, egrad=egrad, ehess=ehess)
 

@@ -4,7 +4,8 @@ A :class:`ProblemDef` bundles a manifold with user callables for the cost
 and (optionally) its derivatives.  It decides once, when it is built, which
 route ``get_gradient`` and ``get_hessian`` take: Riemannian callables win
 over Euclidean ones, and Hessians fall back to a finite-difference
-approximation built from the gradient.
+approximation built from the gradient.  ``hessian_at`` resolves the route
+once per point and returns the Hessian there as a map.
 
 Caching is keyed by solver-held point tokens, not by hashing point
 contents: a token is the point's cache entry itself, which the solver keeps
@@ -198,6 +199,48 @@ def get_gradient(
     return g
 
 
+def hessian_at(
+    p: ProblemDef,
+    x: Point,
+    store: Optional[CacheStore] = None,
+    token: Optional[dict] = None,
+) -> Callable[[Tangent], Tangent]:
+    """The Riemannian Hessian at x, as the map u -> Hess f(x)[u].
+
+    The route ``p.hessian_source`` is resolved here, once per call:
+    ``rhess`` applies the user's rhess at x; ``ehess`` builds the point's
+    conversion ``ehess2rhess(x, egrad)`` now and keeps it in the point's
+    cache entry next to the Euclidean gradient it is built from (with a
+    token the user ``egrad`` and the conversion run once per point, without
+    one once per call of this function); ``fd-fallback`` differences two
+    gradients per product and logs once per store why it took that route.
+    Each product the map computes counts one in ``store.hess_evals``.
+    """
+    route = p.hessian_source
+    if route == "unavailable":
+        raise MissingDerivativeError(
+            "problem supplies no Hessian and no gradient to approximate one"
+        )
+    entry = _entry(token)
+    user = entry["user"]
+    if route == "ehess":
+        convert = _hessian_conversion(p, x, entry)
+    elif route == "fd-fallback" and store is not None and not store._fd_fallback_logged:
+        store._fd_fallback_logged = True
+        logger.info("using the FD Hessian approximation: %s", p._fd_reason)
+
+    def hess(u):
+        if store is not None:
+            store.hess_evals += 1
+        if route == "ehess":
+            return convert(_call(p, "ehess", p.ehess, (x, u), user), u)
+        if route == "rhess":
+            return _call(p, "rhess", p.rhess, (x, u), user)
+        return approx_hessian_fd(p, x, u, store=store, token=token)
+
+    return hess
+
+
 def get_hessian(
     p: ProblemDef,
     x: Point,
@@ -205,31 +248,10 @@ def get_hessian(
     store: Optional[CacheStore] = None,
     token: Optional[dict] = None,
 ) -> Tangent:
-    """Riemannian Hessian applied to u, along ``p.hessian_source``.
-
-    ``ehess`` applies the point's conversion ``ehess2rhess(x, egrad)`` to
-    the user's ehess and keeps it in the point's cache entry next to the
-    Euclidean gradient it is built from: with a token, the user ``egrad``
-    and the conversion run once per point, without one once per call.
-    ``fd-fallback`` differences two gradients and logs once per store why
-    it took that route.
-    """
-    if p.hessian_source == "unavailable":
-        raise MissingDerivativeError(
-            "problem supplies no Hessian and no gradient to approximate one"
-        )
-    if store is not None:
-        store.hess_evals += 1
-    entry = _entry(token)
-    if p.hessian_source == "rhess":
-        return _call(p, "rhess", p.rhess, (x, u), entry["user"])
-    if p.hessian_source == "ehess":
-        hess = _hessian_conversion(p, x, entry)
-        return hess(_call(p, "ehess", p.ehess, (x, u), entry["user"]), u)
-    if store is not None and not store._fd_fallback_logged:
-        store._fd_fallback_logged = True
-        logger.info("using the FD Hessian approximation: %s", p._fd_reason)
-    return approx_hessian_fd(p, x, u, store=store, token=token)
+    """Riemannian Hessian at x applied to u: ``hessian_at(p, x, store,
+    token)(u)``.  Without a token the user ``egrad`` and the ``ehess``
+    route's conversion thus run once per call."""
+    return hessian_at(p, x, store, token)(u)
 
 
 def approx_hessian_fd(

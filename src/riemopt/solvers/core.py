@@ -33,6 +33,9 @@ class SolverOptions:
     ``line_search`` callable with signature ``(phi, phi0, slope, t0) ->
     (t, phi_t) or None`` replaces the default Armijo backtracking.  The
     ``clock`` is injectable so runs can produce deterministic timings.
+    ``tol_grad_norm`` and, when given, ``delta_bar`` and ``delta0`` must be
+    positive and finite, and ``max_inner`` at least 1; other values raise
+    ValueError here, since they would make a run crash or spin.
     """
 
     max_iter: int = 1000
@@ -61,10 +64,18 @@ class SolverOptions:
     clock: Callable[[], float] = time.perf_counter
 
     def __post_init__(self):
-        if self.tol_grad_norm <= 0:
-            raise ValueError("tol_grad_norm must be positive")
+        # Written so that NaN fails each test: a NaN tolerance or radius
+        # would run the solver into a zero division or to max_iter.
+        if not 0 < self.tol_grad_norm < math.inf:
+            raise ValueError(f"tol_grad_norm must be positive and finite, got {self.tol_grad_norm}")
         if self.max_iter < self.min_iter:
             raise ValueError("max_iter must be >= min_iter")
+        for name in ("delta_bar", "delta0"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.max_inner is not None and self.max_inner < 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
 
 @dataclass

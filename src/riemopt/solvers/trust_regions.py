@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from ..exceptions import DegenerateStepError, RankCollapseError
-from ..problem import ProblemDef, get_cost, get_gradient, get_hessian
+from ..manifolds.base import array_lincomb, check_shape, trace_inner
+from ..problem import ProblemDef, get_cost, get_gradient, hessian_at
 from .core import RunResult, SolverOptions, iterate
 
 # tCG stop flags
@@ -43,6 +46,20 @@ def tcg_subsolver(
     defeats a superlinear target.  Without a preconditioner
     z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
 
+    The Hessian route is resolved once per call (``hessian_at``).  Two
+    loops compute the same thing.  When the manifold uses the dense-array
+    algebra (``inner`` is ``trace_inner`` and ``lincomb`` is
+    ``array_lincomb``, as for every factory built by
+    ``embedded_descriptor``) the loop works on the ndarrays directly: it
+    takes inner products with ``np.vdot`` and updates eta, H eta and the
+    residual in place, with the same bits as the descriptor's calls.  It
+    checks the shape of g, of each new Hessian product and of each
+    preconditioner output once, and never writes into g, into a direction
+    d, or into any array a callable returned (a Hessian may return its
+    input).  Every other descriptor (fixed-rank and product tangents, or
+    callables wrapped for tracing) takes the generic loop through
+    ``M.inner`` and ``M.lincomb``.
+
     ``products``, when given, holds the pairs (H d_j, <d_j, H d_j>) of
     earlier calls at the same x and g, by inner step j; steps beyond it are
     computed and appended.  Delta enters only the boundary test, so the
@@ -55,11 +72,17 @@ def tcg_subsolver(
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
-    kappa = opts.tcg_kappa
     theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
+    args = (p.precond, hessian_at(p, x, store, token), x, g, delta,
+            opts.tcg_kappa, theta, max_inner, products)
+    if M.inner is trace_inner and M.lincomb is array_lincomb:
+        return _tcg_arrays(*args)
+    return _tcg_generic(M, *args)
 
-    precond = p.precond
+
+def _tcg_generic(M, precond, hess, x, g, delta, kappa, theta, max_inner, products):
+    """The tCG through the descriptor's ``inner`` and ``lincomb``."""
     eta = M.zero_tangent(x)
     h_eta = M.zero_tangent(x)
     r = g
@@ -83,7 +106,7 @@ def tcg_subsolver(
         if products is not None and j < len(products):
             h_d, d_hd = products[j]
         else:
-            h_d = get_hessian(p, x, d, store, token)
+            h_d = hess(d)
             d_hd = M.inner(x, d, h_d)
             if products is not None:
                 products.append((h_d, d_hd))
@@ -119,6 +142,82 @@ def tcg_subsolver(
         e_pd = beta * (e_pd + alpha * d_pd)
         d_pd = r_z + beta * beta * d_pd
         d = M.lincomb(x, -1.0, z, beta, d)
+    return eta, h_eta, stop, inner_iters
+
+
+def _tcg_arrays(precond, hess, x, g, delta, kappa, theta, max_inner, products):
+    """The tCG of ``_tcg_generic`` on ndarray tangents, with the same bits.
+
+    eta, H eta and r are this loop's own arrays and are updated in place;
+    d is a new array at every step, since a Hessian product or a stored
+    pair may be d itself.  The shape checks raise what ``trace_inner``
+    raises in the generic loop.
+    """
+    vdot = np.vdot
+    check_shape(x, g, "inner: first tangent")
+    r = np.array(g, dtype=float)  # a copy: g is never written into
+    eta = np.zeros_like(r)
+    h_eta = np.zeros_like(r)
+    r_r = float(vdot(r, r))
+    if precond is None:
+        z, r_z = r, r_r
+    else:
+        z = precond(x, r)
+        check_shape(x, z, "inner: second tangent")
+        r_z = float(vdot(r, z))
+    d = -z
+    e_pe = 0.0
+    e_pd = 0.0
+    d_pd = r_z
+    norm_r0 = math.sqrt(max(r_r, 0.0))
+    delta2 = delta * delta
+
+    inner_iters = 0
+    stop = TCG_MAX_INNER
+    for j in range(max_inner):
+        inner_iters = j + 1
+        if products is not None and j < len(products):
+            h_d, d_hd = products[j]
+        else:
+            h_d = hess(d)
+            check_shape(x, h_d, "inner: second tangent")
+            d_hd = float(vdot(d, h_d))
+            if products is not None:
+                products.append((h_d, d_hd))
+        if d_hd > 0:
+            alpha = r_z / d_hd
+            e_pe_new = e_pe + 2.0 * alpha * e_pd + alpha * alpha * d_pd
+        else:
+            alpha = 0.0
+            e_pe_new = math.inf
+        if d_hd <= 0 or e_pe_new >= delta2:
+            # Move to the boundary along d.
+            tau = (-e_pd + math.sqrt(max(e_pd * e_pd + d_pd * (delta2 - e_pe), 0.0))) / d_pd
+            eta += tau * d
+            h_eta += tau * h_d
+            stop = TCG_NEGATIVE_CURVATURE if d_hd <= 0 else TCG_BOUNDARY
+            break
+        e_pe = e_pe_new
+        eta += alpha * d
+        alpha_h_d = alpha * h_d
+        h_eta += alpha_h_d
+        r += alpha_h_d
+        r_r = float(vdot(r, r))
+        norm_r = math.sqrt(max(r_r, 0.0))
+        if norm_r <= norm_r0 * min(norm_r0**theta, kappa):
+            stop = TCG_RESIDUAL
+            break
+        if precond is None:
+            z, r_z_new = r, r_r
+        else:
+            z = precond(x, r)
+            check_shape(x, z, "inner: second tangent")
+            r_z_new = float(vdot(r, z))
+        beta = r_z_new / r_z
+        r_z = r_z_new
+        e_pd = beta * (e_pd + alpha * d_pd)
+        d_pd = r_z + beta * beta * d_pd
+        d = beta * d - z
     return eta, h_eta, stop, inner_iters
 
 

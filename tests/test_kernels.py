@@ -28,9 +28,14 @@ from riemopt import (
 from riemopt.exceptions import DegenerateStepError, DimensionMismatchError
 from riemopt.manifolds.base import array_lincomb, check_shape, trace_inner
 from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
-from riemopt.solvers.trust_regions import TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE, TCG_RESIDUAL
+from riemopt.solvers.trust_regions import (
+    TCG_BOUNDARY,
+    TCG_MAX_INNER,
+    TCG_NEGATIVE_CURVATURE,
+    TCG_RESIDUAL,
+)
 
-from _helpers import manifold_matrix, rayleigh_problem
+from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem
 
 
 def _pairs(rng):
@@ -374,6 +379,133 @@ def test_tcg_identity_preconditioner_matches_none():
                 assert np.array_equal(h_eta, h_eta_id)
                 stops.add(stop)
     assert len(stops) >= 2
+
+
+# --- the tCG's array loop against its generic loop -----------------------------
+
+DENSE = [M for M in manifold_matrix() if M.inner is trace_inner and M.lincomb is array_lincomb]
+
+
+def _generic(p):
+    """p with its manifold's inner wrapped, as the benchmark's tracer wraps
+    it (``dataclasses.replace``): the tCG then takes its generic loop."""
+    M = p.manifold
+    inner = M.inner
+    return dataclasses.replace(
+        p, manifold=dataclasses.replace(M, inner=lambda x, u, v: inner(x, u, v))
+    )
+
+
+def _diagonal_precond(M, seed):
+    """Tangent projection of a positive diagonal scaling: symmetric and
+    positive definite on each tangent space of an embedded manifold."""
+    w = 1.0 + np.random.default_rng(seed).random(np.shape(M.rand_point(np.random.default_rng(0))))
+
+    def precond(x, u):
+        return M.proj(x, w * u)
+
+    return precond
+
+
+def _loops_agree(p, x, g, delta, products_pair):
+    """One tCG call on each loop; both must agree bit for bit."""
+    out = []
+    for q, products in zip((p, _generic(p)), products_pair):
+        store = CacheStore()
+        eta, h_eta, stop, inner = tcg_subsolver(q, x, g, delta, store=store, products=products)
+        out.append((eta, h_eta, stop, inner, store.hess_evals))
+    (eta, h_eta, *rest), (eta_g, h_eta_g, *rest_g) = out
+    assert rest == rest_g
+    assert np.array_equal(eta, eta_g)
+    assert np.array_equal(h_eta, h_eta_g)
+    a, b = products_pair
+    assert len(a) == len(b)
+    assert all(np.array_equal(ha, hb) and da == db for (ha, da), (hb, db) in zip(a, b))
+    return rest[0], rest[2]
+
+
+@pytest.mark.parametrize("precond", [False, True], ids=["plain", "precond"])
+@pytest.mark.parametrize("M", DENSE, ids=[M.name for M in DENSE])
+def test_tcg_array_loop_matches_generic_loop(M, precond, monkeypatch):
+    tr_module = importlib.import_module("riemopt.solvers.trust_regions")
+    loops = []
+    for name in ("_tcg_arrays", "_tcg_generic"):
+        def spy(*args, _loop=getattr(tr_module, name), _name=name):
+            loops.append(_name)
+            return _loop(*args)
+        monkeypatch.setattr(tr_module, name, spy)
+
+    p = make_quadratic_problem(M, seed=3)
+    if precond:
+        p = dataclasses.replace(p, precond=_diagonal_precond(M, 4))
+    rng = np.random.default_rng(5)
+    x_star = trust_regions(p, opts=SolverOptions(clock=lambda: 0.0), rng=rng).x_final
+    loops.clear()
+    stops = set()
+    for x in [M.retract(x_star, M.rand_tangent(x_star, rng), 0.1), M.rand_point(rng)]:
+        g = get_gradient(p, x)
+        g_before = g.copy()
+        for delta in (10.0 * M.typical_dist, M.typical_dist / 8.0, 1e-3):
+            products_pair = ([], [])
+            stop, hess_evals = _loops_agree(p, x, g, delta, products_pair)
+            assert hess_evals == len(products_pair[0]) > 0
+            stops.add(stop)
+            # A rerun at delta / 4 reads the stored products back.
+            stop, hess_evals = _loops_agree(p, x, g, delta / 4.0, products_pair)
+            assert hess_evals == 0
+        assert np.array_equal(g, g_before)
+    assert stops & {TCG_RESIDUAL, TCG_MAX_INNER} and TCG_BOUNDARY in stops
+    assert set(loops) == {"_tcg_arrays", "_tcg_generic"}
+    assert loops[::2] == ["_tcg_arrays"] * (len(loops) // 2)
+
+
+@pytest.mark.parametrize("precond", [None, "identity", "diagonal"])
+def test_tcg_array_loop_with_a_hessian_that_returns_its_input(precond):
+    # The identity ehess on Euclidean space: every product is the direction
+    # d itself, so the loop must never write into d.  A non-scalar
+    # preconditioner makes the CG take several steps.
+    M = euclidean_factory(6)
+    a = np.random.default_rng(6).standard_normal(6)
+    p = ProblemDef(manifold=M, cost=lambda x: 0.5 * float(x @ x) - float(a @ x),
+                   egrad=lambda x: x - a, ehess=lambda x, u: u)
+    if precond == "identity":
+        p = dataclasses.replace(p, precond=lambda x, u: u)
+    elif precond == "diagonal":
+        p = dataclasses.replace(p, precond=_diagonal_precond(M, 7))
+    x = M.rand_point(np.random.default_rng(8))
+    store = CacheStore()
+    tok = store.token()
+    g = get_gradient(p, x, store, tok)
+    g_before = g.copy()
+    steps = []
+    for delta in (1e3, 1e-2):
+        products_pair = ([], [])
+        _loops_agree(p, x, g, delta, products_pair)
+        _loops_agree(p, x, g, delta / 4.0, products_pair)
+        steps.append(len(products_pair[0]))
+    assert steps[1] == 1  # the boundary
+    assert (steps[0] > 1) == (precond == "diagonal")
+    tcg_subsolver(p, x, g, 1e3, store=store, token=tok)
+    assert np.array_equal(g, g_before)
+    assert tok["grad"] is g and np.array_equal(get_gradient(p, x, store, tok), g_before)
+
+
+@pytest.mark.parametrize("loop", ["arrays", "generic"])
+@pytest.mark.parametrize("which", ["rhess", "ehess", "precond"])
+@pytest.mark.parametrize("M", [sphere_factory(4), euclidean_factory(4)], ids=lambda M: M.name)
+@pytest.mark.parametrize("shape", [(5,), (1,)], ids=["longer", "broadcast"])
+def test_tcg_rejects_a_wrong_shaped_product(M, which, loop, shape):
+    p = make_quadratic_problem(M, seed=1)
+    if which == "precond":
+        p = dataclasses.replace(p, precond=lambda x, u: np.ones(shape))
+    else:
+        p = dataclasses.replace(p, **{"rhess": None, "ehess": None, which: lambda x, u: np.ones(shape)})
+    if loop == "generic":
+        p = _generic(p)
+    x = M.rand_point(np.random.default_rng(2))
+    g = get_gradient(p, x)
+    with pytest.raises(DimensionMismatchError):
+        tcg_subsolver(p, x, g, 1.0)
 
 
 # --- batched rounding -----------------------------------------------------------

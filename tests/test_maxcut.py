@@ -616,6 +616,16 @@ def test_cli_solve_json(tmp_path, capsys):
     ]
 
 
+def test_cli_iterations_do_not_count_the_iteration_zero_record(tmp_path, capsys):
+    # Three iterations make four history records; the CLI used to print 4.
+    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--rank", "1", "--max-iter", "3",
+                    "--out", "csv", "--timing", "none"])
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert code == 0
+    assert fields["iterations"] == "3"
+
+
 def test_cli_byte_identical_reruns(tmp_path, capsys):
     path = _write_k3(tmp_path)
     args = ["solve", "--graph", path, "--escalate", "--seed", "3", "--out",

@@ -35,7 +35,7 @@ from riemopt.solvers.trust_regions import (
     TCG_RESIDUAL,
 )
 
-from _helpers import rayleigh_problem
+from _helpers import make_quadratic_problem, rayleigh_problem
 
 
 def _euclid_quadratic(q, b=None):
@@ -104,6 +104,37 @@ def test_options_validation():
         SolverOptions(tol_grad_norm=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=1, min_iter=5)
+
+
+# Each of these used to be accepted: a NaN gradient tolerance passed the
+# "<= 0" test and made TR call the tCG with an exactly zero gradient
+# (ZeroDivisionError); max_inner=0 and a zero or NaN delta0 ran to max_iter.
+@pytest.mark.parametrize("field, value", [
+    ("tol_grad_norm", math.nan),
+    ("tol_grad_norm", math.inf),
+    ("tol_grad_norm", -1e-6),
+    ("max_inner", 0),
+    ("max_inner", -1),
+    ("delta0", 0.0),
+    ("delta0", math.nan),
+    ("delta0", math.inf),
+    ("delta0", -1.0),
+    ("delta_bar", 0.0),
+    ("delta_bar", math.nan),
+    ("delta_bar", math.inf),
+    ("delta_bar", -1.0),
+])
+def test_options_reject_values_that_crash_or_spin(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
+def test_options_accept_the_smallest_valid_values():
+    # One tCG step per iteration (a Cauchy step) still converges.
+    opts = SolverOptions(max_inner=1, delta0=1e-3, delta_bar=1e-3, clock=lambda: 0.0)
+    res = trust_regions(make_quadratic_problem(sphere_factory(5)), opts=opts)
+    assert res.stop_reason == "gradient_tolerance"
+    assert {rec.inner_iters for rec in res.history[1:]} == {1}
 
 
 # --- steepest descent --------------------------------------------------------
