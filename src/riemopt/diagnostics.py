@@ -6,7 +6,10 @@ second order), subtracting the t^2/2 <u, H u> term leaves a t^3 remainder.
 The checks sample the remainder over log-spaced t, fit a log-log slope over
 the cleanest window, and pass when it reaches the expected order: a wrong
 derivative leaves a remainder one order lower, while a correct one whose
-next Taylor term vanishes falls faster than expected.  Exactly linear
+next Taylor term vanishes falls faster than expected.  When the cleanest
+window falls short, the fit is taken again over the windows that lie
+wholly above the rounding floor, since a window on or across that floor
+measures rounding noise rather than the derivative.  Exactly linear
 or quadratic costs produce remainders at machine precision; those pass
 through a dedicated branch instead of the slope fit.
 """
@@ -28,6 +31,7 @@ WINDOW = 13
 GRADIENT_SLOPE_RANGE = (1.8, 2.2)
 HESSIAN_SLOPE_RANGE = (2.7, 3.3)
 EXACT_REMAINDER_SCALE = 1e-12
+ROUNDING_FLOOR_SCALE = 1e-14  # about 50 machine epsilons of max(1, |f(x)|)
 TANGENCY_TOL = 1e-8
 
 
@@ -58,12 +62,14 @@ class SlopeReport:
         return "\n".join(lines)
 
 
-def fit_loglog_slope(ts, remainders, window: int = WINDOW):
+def fit_loglog_slope(ts, remainders, window: int = WINDOW, floor: Optional[float] = None):
     """Least-squares log-log slope over the contiguous window (of the given
     length) with the smallest line-fit residual.
 
     Returns (slope, (t_low, t_high)).  Zero remainders are clamped to a tiny
-    floor so the logs stay finite; such windows fit badly and lose.
+    floor so the logs stay finite; such windows fit badly and lose.  With
+    ``floor``, only the windows whose remainders all exceed it compete,
+    unless there is none.
     """
     ts = np.asarray(ts, dtype=float)
     rem = np.maximum(np.asarray(remainders, dtype=float), 1e-300)
@@ -73,8 +79,11 @@ def fit_loglog_slope(ts, remainders, window: int = WINDOW):
     if n < 2:
         raise ValueError("need at least two samples to fit a slope")
     window = min(window, n)
+    starts = range(n - window + 1)
+    if floor is not None:
+        starts = [i for i in starts if rem[i:i + window].min() > floor] or starts
     best = None
-    for start in range(0, n - window + 1):
+    for start in starts:
         sl = slice(start, start + window)
         coeffs, residuals, *_ = np.polyfit(lt[sl], lr[sl], 1, full=True)
         resid = float(residuals[0]) if len(residuals) else 0.0
@@ -97,11 +106,14 @@ def _resolve_point_direction(p: ProblemDef, x, u, rng):
 def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeReport:
     """Slope test of |remainder(t, f(R_x(t u)))| over log-spaced t, plus the
     tangency residual of v.  The fitted slope passes from the low end of
-    ``expected`` up; exact remainders pass without the slope."""
+    ``expected`` up, from the second fit above the rounding floor if the
+    first falls short; exact remainders pass without the slope."""
     M = p.manifold
     ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
     rem = np.array([abs(remainder(t, get_cost(p, M.retract(x, u, t)))) for t in ts])
     slope, span = fit_loglog_slope(ts, rem)
+    if slope < expected[0]:
+        slope, span = fit_loglog_slope(ts, rem, floor=ROUNDING_FLOOR_SCALE * max(1.0, abs(f0)))
     exact = bool(np.all(rem <= EXACT_REMAINDER_SCALE * max(1.0, abs(f0))))
     v_proj = M.proj(x, M.tangent_to_ambient(x, v))
     tangency = M.norm(x, M.lincomb(x, 1.0, v, -1.0, v_proj)) / max(1.0, M.norm(x, v))

@@ -215,7 +215,7 @@ def rank_escalation(
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "rank %d: %d iterations, lambda_min %.6e, %d eigenvectors used, certified %s",
-                r, len(run.history), lam_min, used, certified,
+                r, run.history[-1].iteration, lam_min, used, certified,
             )
         if done:
             return CutResult(

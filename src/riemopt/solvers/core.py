@@ -34,8 +34,12 @@ class SolverOptions:
     (t, phi_t) or None`` replaces the default Armijo backtracking.  The
     ``clock`` is injectable so runs can produce deterministic timings.
     ``tol_grad_norm`` and, when given, ``delta_bar`` and ``delta0`` must be
-    positive and finite, and ``max_inner`` at least 1; other values raise
-    ValueError here, since they would make a run crash or spin.
+    positive and finite, and ``max_inner`` at least 1.  ``ls_contraction``
+    and ``ls_sufficient_decrease`` must lie in (0, 1), ``ls_max_backtracks``
+    must be at least 0, ``rho_prime`` must lie in [0, 1/4) as in Absil,
+    Baker & Gallivan's trust-region method, and ``rho_regularization`` must
+    be finite and at least 0.  Other values raise ValueError here, since
+    they would make a run crash, spin, or end as a failed line search.
     """
 
     max_iter: int = 1000
@@ -76,6 +80,18 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        for name in ("ls_contraction", "ls_sufficient_decrease"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        if not self.ls_max_backtracks >= 0:
+            raise ValueError(f"ls_max_backtracks must be >= 0, got {self.ls_max_backtracks}")
+        if not 0 <= self.rho_prime < 0.25:
+            raise ValueError(f"rho_prime must lie in [0, 1/4), got {self.rho_prime}")
+        if not 0 <= self.rho_regularization < math.inf:
+            raise ValueError(
+                f"rho_regularization must be finite and >= 0, got {self.rho_regularization}"
+            )
 
 
 @dataclass
@@ -204,9 +220,10 @@ def history_to_csv(history: List[IterationRecord], path) -> None:
 
 
 def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
-    """Armijo backtracking: halve t until sufficient decrease holds.
+    """Armijo backtracking: shrink t by ``ls_contraction`` until sufficient
+    decrease holds.
 
-    Returns (t, phi(t)) or None when ls_max_backtracks halvings all fail.
+    Returns (t, phi(t)) or None when ls_max_backtracks contractions all fail.
     """
     c1 = opts.ls_sufficient_decrease
     t = t0

@@ -10,6 +10,7 @@ trust-region boundary, or an iteration cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -46,19 +47,20 @@ def tcg_subsolver(
     defeats a superlinear target.  Without a preconditioner
     z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
 
-    The Hessian route is resolved once per call (``hessian_at``).  Two
-    loops compute the same thing.  When the manifold uses the dense-array
-    algebra (``inner`` is ``trace_inner`` and ``lincomb`` is
-    ``array_lincomb``, as for every factory built by
-    ``embedded_descriptor``) the loop works on the ndarrays directly: it
-    takes inner products with ``np.vdot`` and updates eta, H eta and the
-    residual in place, with the same bits as the descriptor's calls.  It
-    checks the shape of g, of each new Hessian product and of each
-    preconditioner output once, and never writes into g, into a direction
-    d, or into any array a callable returned (a Hessian may return its
-    input).  Every other descriptor (fixed-rank and product tangents, or
-    callables wrapped for tracing) takes the generic loop through
-    ``M.inner`` and ``M.lincomb``.
+    The Hessian route is resolved once per call (``hessian_at``).  One loop
+    runs the Steihaug-Toint recurrence over one of two vector algebras,
+    picked once per call.  When the manifold uses the dense-array algebra
+    (``inner`` is ``trace_inner`` and ``lincomb`` is ``array_lincomb``, as
+    for every factory built by ``embedded_descriptor``) the loop takes
+    inner products with ``np.vdot`` and updates eta, H eta and the residual
+    in place (``_array_step``), with the same bits as the descriptor's
+    calls; it checks the shape of g, of each new Hessian product and of
+    each preconditioner output, as ``trace_inner`` would.  Every other
+    descriptor (fixed-rank and product tangents, or callables wrapped for
+    tracing) goes through ``M.inner`` and ``M.lincomb``.  Either way the
+    loop never writes into g, into a direction d, or into any array a
+    callable returned or ``products`` holds (a Hessian may return its
+    input): only eta, H eta and r, which are its own, change in place.
 
     ``products``, when given, holds the pairs (H d_j, <d_j, H d_j>) of
     earlier calls at the same x and g, by inner step j; steps beyond it are
@@ -72,26 +74,44 @@ def tcg_subsolver(
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
+    precond = p.precond
+    hess = hessian_at(p, x, store, token)
+    kappa = opts.tcg_kappa
     theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
-    args = (p.precond, hessian_at(p, x, store, token), x, g, delta,
-            opts.tcg_kappa, theta, max_inner, products)
+
     if M.inner is trace_inner and M.lincomb is array_lincomb:
-        return _tcg_arrays(*args)
-    return _tcg_generic(M, *args)
+        inner, check, step = np.vdot, check_shape, _array_step
+        check(x, g, "inner: first tangent")
+        r = np.array(g, dtype=float)  # a copy: g is never written into
+        eta = np.zeros_like(r)
+        h_eta = np.zeros_like(r)
 
+        def direction(beta, d, z):
+            return beta * d - z
+    else:
+        inner, check = functools.partial(M.inner, x), _no_check
+        r = g
+        eta = M.zero_tangent(x)
+        h_eta = M.zero_tangent(x)
 
-def _tcg_generic(M, precond, hess, x, g, delta, kappa, theta, max_inner, products):
-    """The tCG through the descriptor's ``inner`` and ``lincomb``."""
-    eta = M.zero_tangent(x)
-    h_eta = M.zero_tangent(x)
-    r = g
-    r_r = M.inner(x, r, r)
+        def step(eta, h_eta, r, a, d, h_d):
+            eta = M.lincomb(x, 1.0, eta, a, d)
+            h_eta = M.lincomb(x, 1.0, h_eta, a, h_d)
+            if r is not None:
+                r = M.lincomb(x, 1.0, r, a, h_d)
+            return eta, h_eta, r
+
+        def direction(beta, d, z):
+            return M.lincomb(x, -1.0, z, beta, d)
+
+    r_r = float(inner(r, r))
     if precond is None:
         z, r_z = r, r_r
     else:
         z = precond(x, r)
-        r_z = M.inner(x, r, z)
+        check(x, z, "inner: second tangent")
+        r_z = float(inner(r, z))
     d = M.lincomb(x, -1.0, z)
     e_pe = 0.0
     e_pd = 0.0
@@ -107,7 +127,8 @@ def _tcg_generic(M, precond, hess, x, g, delta, kappa, theta, max_inner, product
             h_d, d_hd = products[j]
         else:
             h_d = hess(d)
-            d_hd = M.inner(x, d, h_d)
+            check(x, h_d, "inner: second tangent")
+            d_hd = float(inner(d, h_d))
             if products is not None:
                 products.append((h_d, d_hd))
         if d_hd > 0:
@@ -119,15 +140,12 @@ def _tcg_generic(M, precond, hess, x, g, delta, kappa, theta, max_inner, product
         if d_hd <= 0 or e_pe_new >= delta2:
             # Move to the boundary along d.
             tau = (-e_pd + math.sqrt(max(e_pd * e_pd + d_pd * (delta2 - e_pe), 0.0))) / d_pd
-            eta = M.lincomb(x, 1.0, eta, tau, d)
-            h_eta = M.lincomb(x, 1.0, h_eta, tau, h_d)
+            eta, h_eta, _ = step(eta, h_eta, None, tau, d, h_d)
             stop = TCG_NEGATIVE_CURVATURE if d_hd <= 0 else TCG_BOUNDARY
             break
         e_pe = e_pe_new
-        eta = M.lincomb(x, 1.0, eta, alpha, d)
-        h_eta = M.lincomb(x, 1.0, h_eta, alpha, h_d)
-        r = M.lincomb(x, 1.0, r, alpha, h_d)
-        r_r = M.inner(x, r, r)
+        eta, h_eta, r = step(eta, h_eta, r, alpha, d, h_d)
+        r_r = float(inner(r, r))
         norm_r = math.sqrt(max(r_r, 0.0))
         if norm_r <= norm_r0 * min(norm_r0**theta, kappa):
             stop = TCG_RESIDUAL
@@ -136,89 +154,29 @@ def _tcg_generic(M, precond, hess, x, g, delta, kappa, theta, max_inner, product
             z, r_z_new = r, r_r
         else:
             z = precond(x, r)
-            r_z_new = M.inner(x, r, z)
+            check(x, z, "inner: second tangent")
+            r_z_new = float(inner(r, z))
         beta = r_z_new / r_z
         r_z = r_z_new
         e_pd = beta * (e_pd + alpha * d_pd)
         d_pd = r_z + beta * beta * d_pd
-        d = M.lincomb(x, -1.0, z, beta, d)
+        d = direction(beta, d, z)
     return eta, h_eta, stop, inner_iters
 
 
-def _tcg_arrays(precond, hess, x, g, delta, kappa, theta, max_inner, products):
-    """The tCG of ``_tcg_generic`` on ndarray tangents, with the same bits.
+def _array_step(eta, h_eta, r, a, d, h_d):
+    """eta += a d and H eta += a H d in place, and r += a H d unless r is
+    None (the boundary step); a H d is formed once."""
+    eta += a * d
+    a_h_d = a * h_d
+    h_eta += a_h_d
+    if r is not None:
+        r += a_h_d
+    return eta, h_eta, r
 
-    eta, H eta and r are this loop's own arrays and are updated in place;
-    d is a new array at every step, since a Hessian product or a stored
-    pair may be d itself.  The shape checks raise what ``trace_inner``
-    raises in the generic loop.
-    """
-    vdot = np.vdot
-    check_shape(x, g, "inner: first tangent")
-    r = np.array(g, dtype=float)  # a copy: g is never written into
-    eta = np.zeros_like(r)
-    h_eta = np.zeros_like(r)
-    r_r = float(vdot(r, r))
-    if precond is None:
-        z, r_z = r, r_r
-    else:
-        z = precond(x, r)
-        check_shape(x, z, "inner: second tangent")
-        r_z = float(vdot(r, z))
-    d = -z
-    e_pe = 0.0
-    e_pd = 0.0
-    d_pd = r_z
-    norm_r0 = math.sqrt(max(r_r, 0.0))
-    delta2 = delta * delta
 
-    inner_iters = 0
-    stop = TCG_MAX_INNER
-    for j in range(max_inner):
-        inner_iters = j + 1
-        if products is not None and j < len(products):
-            h_d, d_hd = products[j]
-        else:
-            h_d = hess(d)
-            check_shape(x, h_d, "inner: second tangent")
-            d_hd = float(vdot(d, h_d))
-            if products is not None:
-                products.append((h_d, d_hd))
-        if d_hd > 0:
-            alpha = r_z / d_hd
-            e_pe_new = e_pe + 2.0 * alpha * e_pd + alpha * alpha * d_pd
-        else:
-            alpha = 0.0
-            e_pe_new = math.inf
-        if d_hd <= 0 or e_pe_new >= delta2:
-            # Move to the boundary along d.
-            tau = (-e_pd + math.sqrt(max(e_pd * e_pd + d_pd * (delta2 - e_pe), 0.0))) / d_pd
-            eta += tau * d
-            h_eta += tau * h_d
-            stop = TCG_NEGATIVE_CURVATURE if d_hd <= 0 else TCG_BOUNDARY
-            break
-        e_pe = e_pe_new
-        eta += alpha * d
-        alpha_h_d = alpha * h_d
-        h_eta += alpha_h_d
-        r += alpha_h_d
-        r_r = float(vdot(r, r))
-        norm_r = math.sqrt(max(r_r, 0.0))
-        if norm_r <= norm_r0 * min(norm_r0**theta, kappa):
-            stop = TCG_RESIDUAL
-            break
-        if precond is None:
-            z, r_z_new = r, r_r
-        else:
-            z = precond(x, r)
-            check_shape(x, z, "inner: second tangent")
-            r_z_new = float(vdot(r, z))
-        beta = r_z_new / r_z
-        r_z = r_z_new
-        e_pd = beta * (e_pd + alpha * d_pd)
-        d_pd = r_z + beta * beta * d_pd
-        d = beta * d - z
-    return eta, h_eta, stop, inner_iters
+def _no_check(x, u, what):
+    pass
 
 
 def trust_regions(

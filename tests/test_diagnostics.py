@@ -43,6 +43,22 @@ def test_fit_loglog_slope_picks_clean_window():
     assert span[0] >= 1e-5
 
 
+def test_fit_loglog_slope_above_a_flat_rounding_floor():
+    # A third-order remainder that sinks into a flat rounding floor: the
+    # flat windows fit a line exactly and the curved ones do not, so the
+    # least-residual rule picks slope 0.  With the floor given, only the
+    # windows above it compete.
+    ts = np.logspace(-8, 0, 51)
+    rem = np.maximum(ts**3 * (1.0 + ts), 1e-15)
+    slope, _ = fit_loglog_slope(ts, rem)
+    assert slope == pytest.approx(0.0, abs=1e-12)
+    slope, span = fit_loglog_slope(ts, rem, floor=1e-14)
+    assert slope == pytest.approx(3.0, abs=1e-3)
+    assert span[0] ** 3 > 1e-14
+    # No window lies above the floor: all of them compete, as without it.
+    assert fit_loglog_slope(ts, rem, floor=1.0) == fit_loglog_slope(ts, rem)
+
+
 def test_fit_loglog_slope_needs_two_samples():
     with pytest.raises(ValueError):
         fit_loglog_slope([1e-3], [1e-6])

@@ -7,6 +7,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemopt import (
     CacheStore,
@@ -381,14 +383,14 @@ def test_tcg_identity_preconditioner_matches_none():
     assert len(stops) >= 2
 
 
-# --- the tCG's array loop against its generic loop -----------------------------
+# --- the tCG's dense-array algebra against its generic one ---------------------
 
 DENSE = [M for M in manifold_matrix() if M.inner is trace_inner and M.lincomb is array_lincomb]
 
 
 def _generic(p):
     """p with its manifold's inner wrapped, as the benchmark's tracer wraps
-    it (``dataclasses.replace``): the tCG then takes its generic loop."""
+    it (``dataclasses.replace``): the tCG then takes its generic algebra."""
     M = p.manifold
     inner = M.inner
     return dataclasses.replace(
@@ -408,7 +410,7 @@ def _diagonal_precond(M, seed):
 
 
 def _loops_agree(p, x, g, delta, products_pair):
-    """One tCG call on each loop; both must agree bit for bit."""
+    """One tCG call on each algebra; both must agree bit for bit."""
     out = []
     for q, products in zip((p, _generic(p)), products_pair):
         store = CacheStore()
@@ -427,36 +429,42 @@ def _loops_agree(p, x, g, delta, products_pair):
 @pytest.mark.parametrize("precond", [False, True], ids=["plain", "precond"])
 @pytest.mark.parametrize("M", DENSE, ids=[M.name for M in DENSE])
 def test_tcg_array_loop_matches_generic_loop(M, precond, monkeypatch):
+    # Only the dense-array algebra calls the module's check_shape, and it
+    # checks g once per call; the wrapped inner of ``_generic`` rules that
+    # algebra out, so one check of g per pair of calls shows that the
+    # unwrapped call took it.
     tr_module = importlib.import_module("riemopt.solvers.trust_regions")
-    loops = []
-    for name in ("_tcg_arrays", "_tcg_generic"):
-        def spy(*args, _loop=getattr(tr_module, name), _name=name):
-            loops.append(_name)
-            return _loop(*args)
-        monkeypatch.setattr(tr_module, name, spy)
+    checked = []
+
+    def spy(x, u, what, _check=tr_module.check_shape):
+        checked.append(what)
+        _check(x, u, what)
+
+    monkeypatch.setattr(tr_module, "check_shape", spy)
 
     p = make_quadratic_problem(M, seed=3)
     if precond:
         p = dataclasses.replace(p, precond=_diagonal_precond(M, 4))
     rng = np.random.default_rng(5)
     x_star = trust_regions(p, opts=SolverOptions(clock=lambda: 0.0), rng=rng).x_final
-    loops.clear()
     stops = set()
     for x in [M.retract(x_star, M.rand_tangent(x_star, rng), 0.1), M.rand_point(rng)]:
         g = get_gradient(p, x)
         g_before = g.copy()
         for delta in (10.0 * M.typical_dist, M.typical_dist / 8.0, 1e-3):
             products_pair = ([], [])
+            checked.clear()
             stop, hess_evals = _loops_agree(p, x, g, delta, products_pair)
             assert hess_evals == len(products_pair[0]) > 0
+            assert checked.count("inner: first tangent") == 1
             stops.add(stop)
             # A rerun at delta / 4 reads the stored products back.
+            checked.clear()
             stop, hess_evals = _loops_agree(p, x, g, delta / 4.0, products_pair)
             assert hess_evals == 0
+            assert checked.count("inner: first tangent") == 1
         assert np.array_equal(g, g_before)
     assert stops & {TCG_RESIDUAL, TCG_MAX_INNER} and TCG_BOUNDARY in stops
-    assert set(loops) == {"_tcg_arrays", "_tcg_generic"}
-    assert loops[::2] == ["_tcg_arrays"] * (len(loops) // 2)
 
 
 @pytest.mark.parametrize("precond", [None, "identity", "diagonal"])
@@ -506,6 +514,29 @@ def test_tcg_rejects_a_wrong_shaped_product(M, which, loop, shape):
     g = get_gradient(p, x)
     with pytest.raises(DimensionMismatchError):
         tcg_subsolver(p, x, g, 1.0)
+
+
+EXACT = [M for M in manifold_matrix() if make_quadratic_problem(M).has_exact_hessian()]
+
+
+@pytest.mark.parametrize("M", EXACT, ids=[M.name for M in EXACT])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), log_delta=st.floats(-4.0, 2.0),
+       max_inner=st.integers(1, 60))
+def test_tcg_step_stays_in_the_region_and_decreases_the_model(M, seed, log_delta, max_inner):
+    # Steihaug-Toint: eta lies in the trust region, the model does not rise
+    # above its value at 0, and the H eta that the tCG accumulates is the
+    # Hessian applied to eta.
+    p = make_quadratic_problem(M, seed=seed)
+    x = M.rand_point(np.random.default_rng(seed))
+    g = get_gradient(p, x)
+    delta = 10.0**log_delta * M.typical_dist
+    eta, h_eta, _, _ = tcg_subsolver(p, x, g, delta, SolverOptions(max_inner=max_inner))
+    assert M.norm(x, eta) <= delta * (1.0 + 1e-12)
+    assert M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta) <= 0.0
+    h_eta_exact = get_hessian(p, x, eta)
+    scale = max(1.0, M.norm(x, h_eta_exact))
+    assert M.norm(x, M.lincomb(x, 1.0, h_eta, -1.0, h_eta_exact)) <= 1e-12 * scale
 
 
 # --- batched rounding -----------------------------------------------------------

@@ -547,9 +547,9 @@ def test_escalation_logs_one_debug_record_per_rank(caplog):
     assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "riemopt.maxcut.solve")
     assert len(messages) == len(res.histories) == 2
     assert messages[0] == (
-        "rank 2: 12 iterations, lambda_min -2.453213e-01, 1 eigenvectors used, certified False"
+        "rank 2: 11 iterations, lambda_min -2.453213e-01, 1 eigenvectors used, certified False"
     )
-    assert messages[1].startswith("rank 4: 7 iterations, lambda_min ")
+    assert messages[1].startswith("rank 4: 6 iterations, lambda_min ")
     assert messages[1].endswith(", 0 eigenvectors used, certified True")
 
 

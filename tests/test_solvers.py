@@ -123,6 +123,25 @@ def test_options_validation():
     ("delta_bar", math.nan),
     ("delta_bar", math.inf),
     ("delta_bar", -1.0),
+    # A zero contraction made SD spin to max_iter; the other line-search
+    # values ended the run as a failed line search (step_collapse).
+    ("ls_contraction", 0.0),
+    ("ls_contraction", 1.0),
+    ("ls_contraction", math.nan),
+    ("ls_contraction", -0.5),
+    ("ls_sufficient_decrease", 0.0),
+    ("ls_sufficient_decrease", 1.0),
+    ("ls_sufficient_decrease", 1.5),
+    ("ls_sufficient_decrease", math.nan),
+    ("ls_max_backtracks", -1),
+    # TR never accepted a step and ran to max_iter.
+    ("rho_prime", 0.25),
+    ("rho_prime", 1.5),
+    ("rho_prime", -0.1),
+    ("rho_prime", math.nan),
+    ("rho_regularization", math.nan),
+    ("rho_regularization", math.inf),
+    ("rho_regularization", -1e-15),
 ])
 def test_options_reject_values_that_crash_or_spin(field, value):
     with pytest.raises(ValueError, match=field):
@@ -130,11 +149,31 @@ def test_options_reject_values_that_crash_or_spin(field, value):
 
 
 def test_options_accept_the_smallest_valid_values():
-    # One tCG step per iteration (a Cauchy step) still converges.
-    opts = SolverOptions(max_inner=1, delta0=1e-3, delta_bar=1e-3, clock=lambda: 0.0)
+    # One tCG step per iteration (a Cauchy step), with no margin on rho and
+    # no regularization of it, still converges.
+    opts = SolverOptions(max_inner=1, delta0=1e-3, delta_bar=1e-3, rho_prime=0.0,
+                         rho_regularization=0.0, clock=lambda: 0.0)
     res = trust_regions(make_quadratic_problem(sphere_factory(5)), opts=opts)
     assert res.stop_reason == "gradient_tolerance"
     assert {rec.inner_iters for rec in res.history[1:]} == {1}
+    # So do both line-search solvers with a tiny contraction and a tiny
+    # sufficient-decrease constant.
+    opts = SolverOptions(ls_contraction=1e-3, ls_sufficient_decrease=1e-12, clock=lambda: 0.0)
+    for solver in (steepest_descent, conjugate_gradient):
+        res = solver(make_quadratic_problem(sphere_factory(5)), opts=opts)
+        assert res.stop_reason == "gradient_tolerance"
+    # No backtrack: the line search tries the initial step once and gives
+    # up if it fails.
+    opts = SolverOptions(ls_max_backtracks=0)
+    assert backtracking_line_search(lambda t: 1.0 - t, 1.0, -1.0, 0.5, opts) == (0.5, 0.5)
+    trials = []
+
+    def rising(t):
+        trials.append(t)
+        return 1.0 + t
+
+    assert backtracking_line_search(rising, 1.0, -1.0, 0.5, opts) is None
+    assert trials == [0.5]
 
 
 # --- steepest descent --------------------------------------------------------
