@@ -9,9 +9,11 @@ derivative leaves a remainder one order lower, while a correct one whose
 next Taylor term vanishes falls faster than expected.  When the cleanest
 window falls short, the fit is taken again over the windows that lie
 wholly above the rounding floor, since a window on or across that floor
-measures rounding noise rather than the derivative.  Exactly linear
-or quadratic costs produce remainders at machine precision; those pass
-through a dedicated branch instead of the slope fit.
+measures rounding noise rather than the derivative.  Windows that hold a
+NaN or infinite remainder take no part in the fit, and the report flags
+such remainders.  Exactly linear or quadratic costs produce remainders at
+machine precision; those pass through a dedicated branch instead of the
+slope fit.
 """
 
 from __future__ import annotations
@@ -66,31 +68,48 @@ def fit_loglog_slope(ts, remainders, window: int = WINDOW, floor: Optional[float
     """Least-squares log-log slope over the contiguous window (of the given
     length) with the smallest line-fit residual.
 
-    Returns (slope, (t_low, t_high)).  Zero remainders are clamped to a tiny
-    floor so the logs stay finite; such windows fit badly and lose.  With
-    ``floor``, only the windows whose remainders all exceed it compete,
-    unless there is none.
+    Returns (slope, (t_low, t_high)).  The t must be positive and strictly
+    increasing.  Every window is fitted in one vectorised pass from centred
+    sums.  Zero remainders are clamped to a tiny floor so the logs stay
+    finite; such windows fit badly and lose.  A window that holds a
+    non-finite t or remainder never competes; when no window is left, the
+    slope is NaN and the span is the whole sample range.  With ``floor``, only the windows whose remainders all exceed
+    it compete, unless there is none.
+
+    Ties: a straight run of samples (a clean power law, or a flat rounding
+    floor) fits exactly up to rounding, so residuals within
+    ``window * (8 * eps * s)**2`` of the smallest one, with s the largest
+    of 1 and the fitted |log10| values, count as tied.  A tie goes to the
+    window with the largest t, which lies furthest above the rounding floor.
     """
     ts = np.asarray(ts, dtype=float)
     rem = np.maximum(np.asarray(remainders, dtype=float), 1e-300)
-    lt = np.log10(ts)
-    lr = np.log10(rem)
     n = len(ts)
     if n < 2:
         raise ValueError("need at least two samples to fit a slope")
+    if not (ts[0] > 0 and np.all(np.diff(ts) > 0)):
+        raise ValueError("sample points t must be positive and strictly increasing")
     window = min(window, n)
-    starts = range(n - window + 1)
+    lt = np.log10(ts)
+    lr = np.log10(rem)
+    idx = np.arange(n - window + 1)[:, None] + np.arange(window)
+    ok = (np.isfinite(lt) & np.isfinite(lr))[idx].all(axis=1)
     if floor is not None:
-        starts = [i for i in starts if rem[i:i + window].min() > floor] or starts
-    best = None
-    for start in starts:
-        sl = slice(start, start + window)
-        coeffs, residuals, *_ = np.polyfit(lt[sl], lr[sl], 1, full=True)
-        resid = float(residuals[0]) if len(residuals) else 0.0
-        if best is None or resid < best[0]:
-            best = (resid, float(coeffs[0]), (float(ts[sl][0]), float(ts[sl][-1])))
-    _, slope, span = best
-    return slope, span
+        above = ok & (rem[idx].min(axis=1) > floor)
+        if above.any():
+            ok = above
+    if not ok.any():
+        return float("nan"), (float(ts[0]), float(ts[-1]))
+    cols = idx[ok]
+    x, y = lt[cols], lr[cols]
+    scale = max(1.0, float(np.abs(x).max()), float(np.abs(y).max()))
+    x = x - x.mean(axis=1, keepdims=True)
+    y = y - y.mean(axis=1, keepdims=True)
+    slopes = (x * y).sum(axis=1) / (x * x).sum(axis=1)
+    resid = ((y - slopes[:, None] * x) ** 2).sum(axis=1)
+    tied = resid <= resid.min() + window * (8 * np.finfo(float).eps * scale) ** 2
+    best = np.flatnonzero(tied)[-1]
+    return float(slopes[best]), (float(ts[cols[best, 0]]), float(ts[cols[best, -1]]))
 
 
 def _resolve_point_direction(p: ProblemDef, x, u, rng):
@@ -107,10 +126,12 @@ def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeRepo
     """Slope test of |remainder(t, f(R_x(t u)))| over log-spaced t, plus the
     tangency residual of v.  The fitted slope passes from the low end of
     ``expected`` up, from the second fit above the rounding floor if the
-    first falls short; exact remainders pass without the slope."""
+    first falls short; exact remainders pass without the slope.  Non-finite
+    remainders are counted in a flag."""
     M = p.manifold
     ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
     rem = np.array([abs(remainder(t, get_cost(p, M.retract(x, u, t)))) for t in ts])
+    nonfinite = int(np.count_nonzero(~np.isfinite(rem)))
     slope, span = fit_loglog_slope(ts, rem)
     if slope < expected[0]:
         slope, span = fit_loglog_slope(ts, rem, floor=ROUNDING_FLOOR_SCALE * max(1.0, abs(f0)))
@@ -125,6 +146,7 @@ def _taylor_report(p: ProblemDef, x, u, f0, remainder, expected, v) -> SlopeRepo
         verdict=exact or slope >= expected[0],
         expected_slope_range=expected,
         exact_branch=exact,
+        flags=[f"{nonfinite} of {len(rem)} remainders are not finite"] if nonfinite else [],
     )
 
 

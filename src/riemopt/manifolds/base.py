@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ..exceptions import DegenerateStepError, DimensionMismatchError
 
@@ -121,7 +122,9 @@ def array_identity_ambient(x, u):
 
 def zero_step(u: np.ndarray, t) -> bool:
     # Retractions return x itself here: retract(x, 0) = x bit for bit.
-    return t == 0 or not np.any(u)
+    # count_nonzero has the truth value of np.any (NaN counts, -0.0 does
+    # not) at a tenth of its cost on small arrays.
+    return t == 0 or not np.count_nonzero(u)
 
 
 def embedded_descriptor(shape, proj, **fields) -> ManifoldDescriptor:
@@ -143,9 +146,25 @@ def embedded_descriptor(shape, proj, **fields) -> ManifoldDescriptor:
     return ManifoldDescriptor(proj=proj, **{**defaults, **fields})
 
 
-def qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the sign convention diag(R) > 0 (makes QR deterministic)."""
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diagonal(r)).copy()
+def qr_positive(a: np.ndarray, with_r: bool = False):
+    """Q factor of the thin QR of a real m x n matrix with diag(R) >= 0, or
+    (Q, R) with ``with_r``.
+
+    The sign rule makes the factorization a function of ``a``: Q's columns
+    are multiplied by sign(diag R), with 0 mapped to +1, and so are R's
+    rows.  The values are those of ``np.linalg.qr`` bit for bit: this calls
+    the two LAPACK gufuncs that ``np.linalg.qr`` calls (``qr_r_raw`` runs
+    dgeqrf, ``qr_reduced`` dorgqr) on a private float copy, as it does, and
+    skips its per-call wrapper (type promotion, two ``errstate`` blocks and
+    an ``np.triu`` that most callers discard), which costs more than the
+    factorization of the small matrices the retractions pass in.
+    """
+    packed = a.astype(float, copy=True)  # qr_r_raw overwrites its argument
+    # R on and above the diagonal of packed, the Householder vectors below.
+    tau = _umath_linalg.qr_r_raw(packed)
+    q = _umath_linalg.qr_reduced(packed, tau)
+    d = np.sign(np.diagonal(packed))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
+    if not with_r:
+        return q * d
+    return q * d, np.triu(packed[: d.size]) * d[:, None]

@@ -72,10 +72,11 @@ def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
         return FixedRankTangent(m=mid, up=zv - x.u @ mid, vp=ztu - x.v @ mid.T)
 
     def retract(x, u, t=1.0):
-        if t == 0 or not (np.any(u.m) or np.any(u.up) or np.any(u.vp)):
+        nz = np.count_nonzero  # the truth value of np.any, as in zero_step
+        if t == 0 or not (nz(u.m) or nz(u.up) or nz(u.vp)):
             return x
-        qu, ru = qr_positive(u.up)
-        qv, rv = qr_positive(u.vp)
+        qu, ru = qr_positive(u.up, with_r=True)
+        qv, rv = qr_positive(u.vp, with_r=True)
         core = np.zeros((2 * k, 2 * k))
         core[:k, :k] = x.s + t * u.m
         core[:k, k:] = t * rv.T

@@ -43,8 +43,7 @@ def _orthonormal_factory(n: int, p: int, proj, fix=lambda q: q, **fields):
     """
 
     def q_factor(a):
-        q, _ = qr_positive(a)
-        return fix(q)
+        return fix(qr_positive(a))
 
     def retract(x, u, t=1.0):
         if zero_step(u, t):

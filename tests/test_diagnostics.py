@@ -1,6 +1,8 @@
 """Derivative checks: slope estimator sanity, pass on correct derivatives,
 fail on injected errors, and CSV export."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from riemopt import (
 from riemopt.diagnostics import SlopeReport
 from riemopt.exceptions import MissingDerivativeError
 
-from _helpers import make_quadratic_problem, rayleigh_problem
+from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem
+
+SLOPE_MANIFOLDS = manifold_matrix()[::3]  # the smallest size of each factory
 
 
 # --- slope estimator ---------------------------------------------------------
@@ -59,9 +63,114 @@ def test_fit_loglog_slope_above_a_flat_rounding_floor():
     assert fit_loglog_slope(ts, rem, floor=1.0) == fit_loglog_slope(ts, rem)
 
 
+def _fit_loglog_slope_reference(ts, remainders, window=13, floor=None):
+    """The np.polyfit loop that fit_loglog_slope replaced (first window wins
+    a tie)."""
+    ts = np.asarray(ts, dtype=float)
+    rem = np.maximum(np.asarray(remainders, dtype=float), 1e-300)
+    lt, lr = np.log10(ts), np.log10(rem)
+    starts = range(len(ts) - window + 1)
+    if floor is not None:
+        starts = [i for i in starts if rem[i:i + window].min() > floor] or starts
+    best = None
+    for start in starts:
+        sl = slice(start, start + window)
+        coeffs, residuals, *_ = np.polyfit(lt[sl], lr[sl], 1, full=True)
+        resid = float(residuals[0]) if len(residuals) else 0.0
+        if best is None or resid < best[0]:
+            best = (resid, float(coeffs[0]), (float(ts[sl][0]), float(ts[sl][-1])))
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("M", SLOPE_MANIFOLDS, ids=[M.name for M in SLOPE_MANIFOLDS])
+def test_fit_loglog_slope_matches_the_polyfit_loop(M):
+    # Remainders of real checks: noisy at small t, so no two windows tie.
+    # Centred sums and polyfit's least squares round differently.
+    p = make_quadratic_problem(M, seed=5)
+    for seed in range(4):
+        for check in (check_gradient, check_hessian):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the FD Hessian warns
+                ts, rem = zip(*check(p, rng=np.random.default_rng(seed)).samples)
+            for floor in (None, 1e-14):
+                slope, span = fit_loglog_slope(ts, rem, floor=floor)
+                ref_slope, ref_span = _fit_loglog_slope_reference(ts, rem, floor=floor)
+                assert span == ref_span
+                assert abs(slope - ref_slope) <= 1e-13
+
+
+@pytest.mark.parametrize("p_true", [2, 3])
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.5, 3.7])
+def test_fit_loglog_slope_breaks_ties_towards_large_t(c, p_true):
+    # The flat floor and the clean power law both fit a line exactly, up to
+    # rounding; the tie goes to the window with the largest t.
+    ts = np.logspace(-8, 0, 51)
+    rem = np.where(ts < 1e-5, 1e-14, c * ts**p_true)
+    slope, span = fit_loglog_slope(ts, rem)
+    assert slope == pytest.approx(p_true, abs=1e-9)
+    assert span[1] == ts[-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_loglog_slope_skips_windows_with_non_finite_remainders(bad):
+    ts = np.logspace(-8, 0, 51)
+    clean = fit_loglog_slope(ts, ts**2)
+    fits = []
+    for k in (3, 30):
+        rem = ts**2
+        rem[k] = bad
+        fits.append(fit_loglog_slope(ts, rem))
+        fits.append(fit_loglog_slope(ts, rem, floor=1e-14))
+    for slope, span in fits:
+        assert slope == pytest.approx(2.0, abs=1e-9)
+    assert fits[0][0] == fits[2][0] == clean[0]
+
+
+def test_fit_loglog_slope_without_a_finite_window_is_nan():
+    ts = np.logspace(-8, 0, 51)
+    slope, span = fit_loglog_slope(ts, np.full(51, np.nan))
+    assert np.isnan(slope) and span == (ts[0], ts[-1])
+    # One bad sample in every window of 13 leaves none.
+    rem = ts**2
+    rem[::13] = np.nan
+    assert np.isnan(fit_loglog_slope(ts, rem)[0])
+    assert np.isnan(fit_loglog_slope(ts, rem, floor=1e-14)[0])
+
+
+def test_check_gradient_flags_non_finite_remainders():
+    p, _ = rayleigh_problem(5, seed=0)
+    f = p.cost
+    # Along the retraction x[0] = t / sqrt(1 + t^2): the cost is NaN at the
+    # two largest samples of t.
+    nan_far = ProblemDef(
+        manifold=p.manifold,
+        cost=lambda x: f(x) if x[0] < 0.5 else np.nan,
+        egrad=p.egrad,
+    )
+    x, u = np.eye(5)[1], np.eye(5)[0]
+    report = check_gradient(nan_far, x=x, u=u)
+    assert sum(not np.isfinite(r) for _, r in report.samples) == 2
+    assert report.verdict and report.fitted_slope == pytest.approx(2.0, abs=0.05)
+    assert report.flags == ["2 of 51 remainders are not finite"]
+    nan_cost = ProblemDef(manifold=p.manifold, cost=lambda x: np.nan, egrad=p.egrad)
+    report = check_gradient(nan_cost, x=x, u=u)
+    assert not report.verdict and np.isnan(report.fitted_slope)
+    assert report.flags == ["51 of 51 remainders are not finite"]
+
+
 def test_fit_loglog_slope_needs_two_samples():
     with pytest.raises(ValueError):
         fit_loglog_slope([1e-3], [1e-6])
+
+
+@pytest.mark.parametrize(
+    "ts", [[1e-3, 1e-3, 1e-2], [1e-2, 1e-3, 1e-1], [0.0, 1e-3, 1e-2], [-1.0, 1e-3, 1e-2],
+           [np.nan, 1e-3, 1e-2], [1e-3, np.nan, 1e-2]],
+)
+def test_fit_loglog_slope_needs_increasing_positive_t(ts):
+    # A window of equal t has no slope, and the tie rule reads t as sorted.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fit_loglog_slope(ts, [1e-6, 1e-5, 1e-4], window=2)
 
 
 def test_fit_loglog_slope_handles_zero_remainders():

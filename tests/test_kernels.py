@@ -4,6 +4,7 @@ and Hessian-conversion caches must change call counts only."""
 
 import dataclasses
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from riemopt import (
     trust_regions,
 )
 from riemopt.exceptions import DegenerateStepError, DimensionMismatchError
-from riemopt.manifolds.base import array_lincomb, check_shape, trace_inner
+from riemopt.manifolds.base import (
+    array_lincomb,
+    check_shape,
+    qr_positive,
+    trace_inner,
+    zero_step,
+)
 from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
 from riemopt.solvers.trust_regions import (
     TCG_BOUNDARY,
@@ -537,6 +544,73 @@ def test_tcg_step_stays_in_the_region_and_decreases_the_model(M, seed, log_delta
     h_eta_exact = get_hessian(p, x, eta)
     scale = max(1.0, M.norm(x, h_eta_exact))
     assert M.norm(x, M.lincomb(x, 1.0, h_eta, -1.0, h_eta_exact)) <= 1e-12 * scale
+
+
+# --- QR kernel ------------------------------------------------------------------
+
+
+def _qr_positive_reference(a):
+    """The np.linalg.qr body that qr_positive replaced."""
+    q, r = np.linalg.qr(a)
+    d = np.sign(np.diagonal(r)).copy()
+    d[d == 0] = 1.0
+    return q * d, r * d[:, None]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _qr_inputs(rng):
+    for shape in [(10, 4), (50, 3), (6, 1), (4, 4), (1, 1), (3, 5)]:
+        a = rng.standard_normal(shape)
+        yield a
+        yield np.asfortranarray(a)
+        yield a.T  # a transposed view: wide becomes tall
+    a = rng.standard_normal((10, 4))
+    a[:, 2] = 0.0  # a zero column puts a zero on R's diagonal
+    yield a
+    yield np.zeros((5, 3))
+    yield np.array([[1.0, -0.0], [0.0, -0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        a = rng.standard_normal((6, 3))
+        a[2, 1] = bad
+        yield a
+    yield rng.integers(-5, 5, size=(7, 3))  # promoted to float, as numpy does
+
+
+def test_qr_positive_matches_numpy_qr_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for a in _qr_inputs(rng):
+        before = a.copy()
+        q_ref, r_ref = _qr_positive_reference(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN and inf entries included
+            q, r = qr_positive(a, with_r=True)
+            q_only = qr_positive(a)
+        assert _same_bits(q, q_ref) and _same_bits(r, r_ref)
+        assert _same_bits(q_only, q_ref)
+        # The LAPACK call overwrites its argument: the caller's array must
+        # not be the one it gets.
+        assert _same_bits(a, before)
+
+
+def test_qr_positive_diagonal_signs_are_positive():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((8, 3))
+    q, r = qr_positive(a, with_r=True)
+    assert np.all(np.diagonal(r) > 0)
+    assert np.allclose(q @ r, a) and np.allclose(q.T @ q, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "u", [np.zeros((3, 2)), np.full((3, 2), -0.0), np.array([[0.0, np.nan]]),
+          np.array([1e-300, 0.0]), np.array([np.inf])],
+    ids=["zeros", "negative-zeros", "nan", "tiny", "inf"],
+)
+def test_zero_step_has_the_truth_value_of_np_any(u):
+    assert zero_step(u, 1.0) == (not np.any(u))
+    assert zero_step(u, 0) and zero_step(u, 0.0)
 
 
 # --- batched rounding -----------------------------------------------------------

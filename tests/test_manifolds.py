@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemopt import (
     ProblemDef,
@@ -323,6 +325,31 @@ def test_retraction_axioms(M):
     if e3 < 1e-14:
         return  # retraction is exactly linear (Euclidean blocks)
     assert e3 / max(e4, 1e-300) >= 50.0  # order >= 2 decay
+
+
+# The factories retracted by a positive-diagonal QR, alone or in a product.
+QR_RETRACTED = [
+    M for M in MATRIX
+    if M.name.startswith(("Stiefel", "Grassmann", "Rotations", "FixedRank", "Product(Stiefel"))
+]
+
+
+@pytest.mark.parametrize("M", QR_RETRACTED, ids=[M.name for M in QR_RETRACTED])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(1e-8, 1e2))
+def test_qr_retraction_properties(M, seed, t):
+    rng = np.random.default_rng(seed)
+    x = M.rand_point(rng)
+    u = M.rand_tangent(x, rng)
+    back = M.retract(x, u, 0)
+    if isinstance(x, tuple):
+        assert all(b is c for b, c in zip(back, x))
+    else:
+        assert back is x
+    y = M.retract(x, u, t)
+    assert M.constraint_violation(y) <= 1e-10
+    if M.name.startswith("Rotations"):
+        assert abs(np.linalg.det(y) - 1.0) <= 1e-10
 
 
 def tree_add_scaled(a, b, t):
