@@ -68,27 +68,31 @@ def fit_loglog_slope(ts, remainders, window: int = WINDOW, floor: Optional[float
     """Least-squares log-log slope over the contiguous window (of the given
     length) with the smallest line-fit residual.
 
-    Returns (slope, (t_low, t_high)).  The t must be positive and strictly
-    increasing.  Every window is fitted in one vectorised pass from centred
-    sums.  Zero remainders are clamped to a tiny floor so the logs stay
-    finite; such windows fit badly and lose.  A window that holds a
-    non-finite t or remainder never competes; when no window is left, the
-    slope is NaN and the span is the whole sample range.  With ``floor``, only the windows whose remainders all exceed
-    it compete, unless there is none.
+    Returns (slope, (t_low, t_high)).  The t must be positive and distinct;
+    windows run over consecutive samples in the order given.  Every window
+    is fitted in one vectorised pass from centred sums.  Zero remainders
+    are clamped to 1e-300 so the logs stay finite: a window that mixes them
+    with nonzero remainders fits badly, and a run of them fits exactly and
+    ties (see below).  A window that holds a non-finite t or remainder
+    never competes; when no window is left, the slope is NaN and the span
+    is the whole range of t.  With ``floor``, only the windows whose
+    remainders all exceed it compete, unless there is none.
 
-    Ties: a straight run of samples (a clean power law, or a flat rounding
-    floor) fits exactly up to rounding, so residuals within
-    ``window * (8 * eps * s)**2`` of the smallest one, with s the largest
-    of 1 and the fitted |log10| values, count as tied.  A tie goes to the
-    window with the largest t, which lies furthest above the rounding floor.
+    Ties: a straight run of samples (a clean power law, a flat rounding
+    floor or a run of zeros) fits exactly up to rounding, so residuals
+    within ``window * (8 * eps * s)**2`` of the smallest one, with s the
+    largest of 1 and the fitted |log10| values, count as tied.  A tie goes
+    to the window whose largest t is largest, the one furthest above the
+    rounding floor.
     """
     ts = np.asarray(ts, dtype=float)
     rem = np.maximum(np.asarray(remainders, dtype=float), 1e-300)
     n = len(ts)
     if n < 2:
         raise ValueError("need at least two samples to fit a slope")
-    if not (ts[0] > 0 and np.all(np.diff(ts) > 0)):
-        raise ValueError("sample points t must be positive and strictly increasing")
+    sorted_ts = np.sort(ts)  # NaN sorts last and fails the test
+    if not (sorted_ts[0] > 0 and np.all(np.diff(sorted_ts) > 0)):
+        raise ValueError("sample points t must be positive and distinct")
     window = min(window, n)
     lt = np.log10(ts)
     lr = np.log10(rem)
@@ -99,17 +103,20 @@ def fit_loglog_slope(ts, remainders, window: int = WINDOW, floor: Optional[float
         if above.any():
             ok = above
     if not ok.any():
-        return float("nan"), (float(ts[0]), float(ts[-1]))
+        return float("nan"), (float(ts.min()), float(ts.max()))
     cols = idx[ok]
     x, y = lt[cols], lr[cols]
+    top = x.max(axis=1)
     scale = max(1.0, float(np.abs(x).max()), float(np.abs(y).max()))
     x = x - x.mean(axis=1, keepdims=True)
     y = y - y.mean(axis=1, keepdims=True)
     slopes = (x * y).sum(axis=1) / (x * x).sum(axis=1)
     resid = ((y - slopes[:, None] * x) ** 2).sum(axis=1)
     tied = resid <= resid.min() + window * (8 * np.finfo(float).eps * scale) ** 2
-    best = np.flatnonzero(tied)[-1]
-    return float(slopes[best]), (float(ts[cols[best, 0]]), float(ts[cols[best, -1]]))
+    tied = np.flatnonzero(tied)
+    best = tied[np.argmax(top[tied])]
+    span = ts[cols[best]]
+    return float(slopes[best]), (float(span.min()), float(span.max()))
 
 
 def _resolve_point_direction(p: ProblemDef, x, u, rng):

@@ -154,8 +154,8 @@ def qr_positive(a: np.ndarray, with_r: bool = False):
     are multiplied by sign(diag R), with 0 mapped to +1, and so are R's
     rows.  The values are those of ``np.linalg.qr`` bit for bit: this calls
     the two LAPACK gufuncs that ``np.linalg.qr`` calls (``qr_r_raw`` runs
-    dgeqrf, ``qr_reduced`` dorgqr) on a private float copy, as it does, and
-    skips its per-call wrapper (type promotion, two ``errstate`` blocks and
+    dgeqrf, ``qr_reduced`` dorgqr; ``qr_r_raw`` needs numpy >= 2.1) on a
+    private float copy, as it does, and skips its per-call wrapper (type promotion, two ``errstate`` blocks and
     an ``np.triu`` that most callers discard), which costs more than the
     factorization of the small matrices the retractions pass in.
     """
