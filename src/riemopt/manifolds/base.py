@@ -155,9 +155,10 @@ def qr_positive(a: np.ndarray, with_r: bool = False):
     rows.  The values are those of ``np.linalg.qr`` bit for bit: this calls
     the two LAPACK gufuncs that ``np.linalg.qr`` calls (``qr_r_raw`` runs
     dgeqrf, ``qr_reduced`` dorgqr; ``qr_r_raw`` needs numpy >= 2.1) on a
-    private float copy, as it does, and skips its per-call wrapper (type promotion, two ``errstate`` blocks and
-    an ``np.triu`` that most callers discard), which costs more than the
-    factorization of the small matrices the retractions pass in.
+    private float copy, as it does, and skips its per-call wrapper (type
+    promotion, two ``errstate`` blocks and an ``np.triu`` that most callers
+    discard), which costs more than the factorization of the small matrices
+    the retractions pass in.
     """
     packed = a.astype(float, copy=True)  # qr_r_raw overwrites its argument
     # R on and above the diagonal of packed, the Householder vectors below.

@@ -10,8 +10,14 @@ import numpy as np
 from .base import ManifoldDescriptor, check_shape, embedded_descriptor
 
 
-def _flat_hessian(ehess_u, u):
-    return np.asarray(ehess_u, dtype=float)
+def _flat_ehess2rhess(x, egrad):
+    check_shape(x, egrad, "ehess2rhess: egrad")
+
+    def hess(ehess_u, u):
+        check_shape(x, ehess_u, "ehess2rhess: ehess")
+        return np.asarray(ehess_u, dtype=float)
+
+    return hess
 
 
 def euclidean_factory(*shape: int) -> ManifoldDescriptor:
@@ -34,7 +40,7 @@ def euclidean_factory(*shape: int) -> ManifoldDescriptor:
         dim=dim,
         typical_dist=math.sqrt(dim),
         retract=retract,
-        ehess2rhess=lambda x, egrad: _flat_hessian,
+        ehess2rhess=_flat_ehess2rhess,
         rand_point=lambda rng: rng.standard_normal(shape),
         transport=lambda x, y, u: u,
         constraint_violation=lambda x: 0.0,

@@ -51,9 +51,12 @@ def _orthonormal_factory(n: int, p: int, proj, fix=lambda q: q, **fields):
         return q_factor(x + t * u)
 
     def ehess2rhess(x, egrad):
+        # Checked first: a (1, p) or (n, 1) array would broadcast through.
+        check_shape(x, egrad, "ehess2rhess: egrad")
         s = _sym(x.T @ egrad)
 
         def hess(ehess_u, u):
+            check_shape(x, ehess_u, "ehess2rhess: ehess")
             return proj(x, ehess_u - u @ s)
 
         return hess

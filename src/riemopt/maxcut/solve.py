@@ -139,14 +139,23 @@ def certify(
     trace(L Y Y')/4, the relaxation's value at Y, by at most
     n tol ||L||_1 / 4.  The columns of V are the eigenvectors of S whose
     eigenvalues lie below that threshold, most negative first, so V has no
-    columns exactly when Y is certified.
+    columns exactly when Y is certified.  ``tol`` must be positive and
+    finite (ValueError otherwise), as the CLI's ``--tol``.
     """
+    _check_tol("certify", tol)
     lyy = (L @ Y) * Y  # row i sums to d_i; all of it to trace(L Y Y')
     evals, evecs = np.linalg.eigh(np.diag(np.sum(lyy, axis=1)) - L)  # ascending
     lam_min = float(evals[0])
     threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
     bound = (float(np.sum(lyy)) - Y.shape[0] * min(lam_min, 0.0)) / 4.0
     return lam_min >= threshold, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
+
+
+def _check_tol(who: str, tol: float) -> None:
+    # Written so that NaN fails the test: a NaN, negative or zero tol
+    # certifies nothing, and an infinite one certifies any Y.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{who}: tol must be positive and finite, got {tol}")
 
 
 def next_rank(r: int, n: int) -> int:
@@ -191,6 +200,7 @@ def rank_escalation(
     """
     if r0 < 2:
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
+    _check_tol("rank_escalation", tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     n = L.shape[0]
 

@@ -47,26 +47,26 @@ class CacheStore:
     """Evaluation counters of one run, and the issuer of point tokens.
 
     A token is the point's cache entry itself: :meth:`token` returns a fresh
-    one, or None when caching is off.  The solver keeps it next to its point
-    and drops both together; the store holds no points.  An entry holds the
-    cost, the Riemannian gradient, the user's Euclidean gradient and the
-    manifold's Hessian conversion ``ehess2rhess(x, egrad)`` at the point, so
-    each runs once per point however many Hessian-vector products follow.
+    one, which the solver keeps next to its point and drops with it.  An
+    entry holds the cost, the Riemannian gradient, the user's Euclidean
+    gradient and the manifold's Hessian conversion ``ehess2rhess(x,
+    egrad)`` at the point, so each runs once per point, and the trust-region
+    rule keeps the tCG's products there.  A call with ``token=None`` is
+    one-shot: it caches nothing.
 
     ``hess_evals`` counts the Hessian-vector products computed, not the
     tCG's inner steps: a trust-region rerun after a rejected step reads
     the products of the first run back and adds none.
     """
 
-    def __init__(self, caching: bool = True):
-        self.caching = caching
+    def __init__(self):
         self.cost_evals = 0
         self.grad_evals = 0
         self.hess_evals = 0
         self._fd_fallback_logged = False
 
-    def token(self) -> Optional[dict]:
-        return {"user": {}} if self.caching else None
+    def token(self) -> dict:
+        return {"user": {}}
 
     def counters(self) -> dict:
         return {
@@ -146,7 +146,7 @@ def _call(p: ProblemDef, which: str, fn: Callable, args, user_cache: dict):
 
 
 def _entry(token: Optional[dict]) -> dict:
-    return token if token is not None else {"user": {}}  # throwaway: uncached
+    return token if token is not None else {"user": {}}  # throwaway: one-shot
 
 
 def get_cost(

@@ -48,7 +48,6 @@ class SolverOptions:
     min_iter: int = 3
     stats_callback: Optional[Callable] = None
     stop_callback: Optional[Callable] = None
-    caching: bool = True
 
     # line search (steepest descent / CG)
     ls_contraction: float = 0.5
@@ -154,29 +153,32 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
     is drawn from ``rng`` (a seed-0 generator when that is missing too).
     ``rule(opts, store)`` returns the solver's step and the first record's
     ``(step_size, inner_iters, delta, rho)``.  ``step(x, token, f, g,
-    gnorm)`` returns either the next point with its token, cost, gradient,
-    gradient norm and those four record fields, or a stop reason.  The loop
-    carries them forward, so no point is evaluated twice.  A point whose
-    gradient is below tolerance before ``min_iter`` is recorded again,
-    without a step, until the stop is allowed.  A record whose cost or
-    gradient norm is NaN or infinite ends the run as ``nonfinite``.
+    gnorm)`` returns the next point, its token (x's own if it stays) and
+    those four fields, or a stop reason.  The loop reads each new point's
+    cost and gradient from its token, where the step left what it
+    evaluated, so no point is evaluated twice.  A point whose gradient is
+    below tolerance before ``min_iter`` is recorded again, without a step,
+    until the stop is allowed.  A NaN or infinite cost or gradient norm
+    ends the run as ``nonfinite``.
     """
     opts = opts if opts is not None else SolverOptions()
-    store = CacheStore(caching=opts.caching)
+    store = CacheStore()
     M = p.manifold
     x = x0 if x0 is not None else M.rand_point(
         rng if rng is not None else np.random.default_rng(0)
     )
     t_start = opts.clock()
     step, (step_size, inner, delta, rho) = rule(opts, store)
-    tok = store.token()
-    f = get_cost(p, x, store, tok)
-    g = get_gradient(p, x, store, tok)
-    gnorm = M.norm(x, g)
+    tok, tok_read = store.token(), None
 
     history = []
     it = 0
     while True:
+        if tok is not tok_read:  # a new point
+            tok_read = tok
+            f = get_cost(p, x, store, tok)
+            g = get_gradient(p, x, store, tok)
+            gnorm = M.norm(x, g)
         rec = IterationRecord(
             it, f, gnorm, opts.clock() - t_start, step_size, inner, delta, rho
         )
@@ -195,7 +197,7 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
             if isinstance(out, str):
                 reason = out
                 break
-            x, tok, f, g, gnorm, step_size, inner, delta, rho = out
+            x, tok, step_size, inner, delta, rho = out
         it += 1
     return RunResult(x, f, gnorm, reason, history, store.counters())
 

@@ -9,6 +9,7 @@ derivative, which keeps the expected number of backtracks around one.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -26,10 +27,10 @@ from .core import (
 def _make_ray(p, M, x, d, store):
     """Cost along the retracted ray, and the point at an accepted step.
 
-    Degenerate trial steps cost +inf.  The last trial's point and token are
-    kept, so the accepted point is neither retracted nor evaluated again.
+    Degenerate trial steps cost +inf.  Each trial's point and token are kept
+    by t, so the accepted point is neither retracted nor evaluated again.
     """
-    trial = [None, None, None]
+    trials = {}
 
     def phi(t):
         try:
@@ -38,12 +39,12 @@ def _make_ray(p, M, x, d, store):
             f = get_cost(p, y, store, tok)
         except (DegenerateStepError, RankCollapseError):
             return math.inf
-        trial[:] = t, y, tok
+        trials[t] = y, tok
         return f
 
     def point(t):
-        if trial[0] == t:
-            return trial[1], trial[2]
+        if t in trials:
+            return trials[t]
         return M.retract(x, d, t), store.token()
 
     return phi, point
@@ -85,40 +86,42 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
 
     Without ``conjugate`` the direction is -grad, with slope -||grad||^2 and
     no preconditioner.  With it, the gradient at the new point also gives
-    beta and the next direction.
+    beta and the next direction, and a search that fails along a conjugate
+    direction (beta > 0) is tried once more along -P grad.
     """
     M = p.manifold
 
     def rule(opts, store):
         prev_decrease = None
-        d = None
+        d, beta = None, 0.0
+        line_search = opts.line_search or functools.partial(backtracking_line_search, opts=opts)
 
-        def step(x, tok, f, g, gnorm):
-            nonlocal prev_decrease, d
-            if conjugate:
-                pg = apply_precond(p, x, g)
-                if d is None or M.inner(x, d, g) >= 0:
-                    d = M.lincomb(x, -1.0, pg)
-                slope = M.inner(x, g, d)
-                dnorm = M.norm(x, d)
-            else:
-                d = M.lincomb(x, -1.0, g)
-                slope = -(gnorm**2)
-                dnorm = gnorm
+        def search(x, f, d, slope, dnorm):
+            """Line search from x along d: (step, cost, point, token) or None."""
             t0 = _initial_step(prev_decrease, slope, M.typical_dist, dnorm)
             phi, point = _make_ray(p, M, x, d, store)
-            if opts.line_search is None:
-                ls = backtracking_line_search(phi, f, slope, t0, opts)
-            else:
-                ls = opts.line_search(phi, f, slope, t0)
-            if ls is None:
-                return STEP_COLLAPSE
-            t, f_new = ls
-            prev_decrease = f - f_new
+            ls = line_search(phi, f, slope, t0)
+            return None if ls is None else (ls[0] * dnorm, ls[1], *point(ls[0]))
 
-            x_new, tok_new = point(t)
-            g_new = get_gradient(p, x_new, store, tok_new)
+        def step(x, tok, f, g, gnorm):
+            nonlocal prev_decrease, d, beta
+            if not conjugate:
+                d = M.lincomb(x, -1.0, g)
+                found = search(x, f, d, -(gnorm**2), gnorm)
+            else:
+                pg = apply_precond(p, x, g)
+                if d is None or M.inner(x, d, g) >= 0:
+                    d, beta = M.lincomb(x, -1.0, pg), 0.0
+                found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
+                if found is None and beta > 0:  # once more, along -P grad
+                    d, beta = M.lincomb(x, -1.0, pg), 0.0
+                    found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
+            if found is None:
+                return STEP_COLLAPSE
+            step_size, f_new, x_new, tok_new = found
+            prev_decrease = f - f_new
             if conjugate:
+                g_new = get_gradient(p, x_new, store, tok_new)
                 pg_new = apply_precond(p, x_new, g_new)
                 pg_moved = M.transport(x, x_new, pg)
                 d_moved = M.transport(x, x_new, d)
@@ -131,8 +134,7 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
                         / denom,
                     )
                 d = M.lincomb(x_new, -1.0, pg_new, beta, d_moved)
-            return (x_new, tok_new, f_new, g_new, M.norm(x_new, g_new),
-                    t * dnorm, None, None, None)
+            return x_new, tok_new, step_size, None, None, None
 
         return step, (0.0, None, None, None)
 

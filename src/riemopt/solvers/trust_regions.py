@@ -18,7 +18,7 @@ import numpy as np
 
 from ..exceptions import DegenerateStepError, RankCollapseError
 from ..manifolds.base import array_lincomb, check_shape, trace_inner
-from ..problem import ProblemDef, get_cost, get_gradient, hessian_at
+from ..problem import ProblemDef, get_cost, hessian_at
 from .core import RunResult, SolverOptions, iterate
 
 # tCG stop flags
@@ -188,24 +188,23 @@ def trust_regions(
     """Riemannian trust-region solver (globally convergent; locally
     quadratic when an exact Hessian is available).
 
-    The step rule keeps the tCG's Hessian-vector products at the current
-    point (see ``tcg_subsolver``): after a rejected step, or a retraction
-    that raised ``DegenerateStepError`` or ``RankCollapseError``, the rerun
-    at the same point with a smaller Delta computes no product again.  The products are dropped
-    when a step is accepted.  They live in the rule, not in the point's
-    cache token, so a run with ``caching=False`` does the same work.
+    The tCG's Hessian-vector products at a point are kept in the point's
+    cache entry (see ``tcg_subsolver``): after a rejected step, or a
+    retraction that raised ``DegenerateStepError`` or ``RankCollapseError``,
+    the rerun at the same point with a smaller Delta computes no product
+    again, and the products go with the entry when a step is accepted.  The
+    rule itself keeps only Delta.
     """
     M = p.manifold
 
     def rule(opts, store):
         delta_bar = opts.delta_bar if opts.delta_bar is not None else M.typical_dist
         delta = opts.delta0 if opts.delta0 is not None else delta_bar / 8.0
-        products = []  # tCG Hessian-vector products at the current point
 
         def step(x, tok, f, g, gnorm):
             nonlocal delta
             eta, h_eta, tcg_stop, inner = tcg_subsolver(
-                p, x, g, delta, opts, store, tok, products
+                p, x, g, delta, opts, store, tok, tok.setdefault("tcg_products", [])
             )
             try:
                 x_prop = M.retract(x, eta, 1.0)
@@ -214,7 +213,7 @@ def trust_regions(
             except (DegenerateStepError, RankCollapseError):
                 # Step left the representable set; shrink and retry.
                 delta /= 4.0
-                return x, tok, f, g, gnorm, 0.0, inner, delta, -math.inf
+                return x, tok, 0.0, inner, delta, -math.inf
 
             model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
             reg = opts.rho_regularization * max(1.0, abs(f))
@@ -225,12 +224,8 @@ def trust_regions(
             elif rho > 0.75 and tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE):
                 delta = min(2.0 * delta, delta_bar)
             if not (model_decrease > 0 and rho > opts.rho_prime):
-                return x, tok, f, g, gnorm, 0.0, inner, delta, rho
-            products.clear()
-            step_size = M.norm(x, eta)
-            g_prop = get_gradient(p, x_prop, store, tok_prop)
-            return (x_prop, tok_prop, f_prop, g_prop, M.norm(x_prop, g_prop),
-                    step_size, inner, delta, rho)
+                return x, tok, 0.0, inner, delta, rho
+            return x_prop, tok_prop, M.norm(x, eta), inner, delta, rho
 
         return step, (0.0, None, delta, None)
 

@@ -262,13 +262,17 @@ def test_acceptance_5_caching_fidelity():
     t0 = time.perf_counter()
     L = laplacian(_corpus()[3][1])  # K5
 
-    def run(caching):
+    def run(shared):
         CountingMatrix.products = 0
         p = build_problem(L.view(CountingMatrix), 3)
+        if not shared:
+            # The same callables without the scratch parameter: the cost
+            # and the gradient then take one product with L each.
+            cost, egrad = p.cost, p.egrad
+            p = ProblemDef(manifold=p.manifold, cost=lambda y: cost(y, {}),
+                           egrad=lambda y: egrad(y, {}), ehess=p.ehess)
         x0 = p.manifold.rand_point(np.random.default_rng(0))
-        res = trust_regions(
-            p, x0=x0, opts=SolverOptions(caching=caching, clock=lambda: 0.0)
-        )
+        res = trust_regions(p, x0=x0, opts=SolverOptions(clock=lambda: 0.0))
         return res, CountingMatrix.products
 
     res_on, cnt_on = run(True)
@@ -279,18 +283,14 @@ def test_acceptance_5_caching_fidelity():
     ok &= all(a == b for a, b in zip(res_on.history, res_off.history))
     ok &= bool(np.array_equal(res_on.x_final, res_off.x_final))
 
-    # multiply accounting: cached runs compute LY once per point, shared by
-    # the cost, the gradient, and the egrad needed by the point's Hessian
-    # conversion; uncached runs pay for every one of those separately, the
-    # conversion's egrad once per tCG call (which builds it once).
+    # multiply accounting: the point's cache entry keeps its egrad, which the
+    # gradient and the Hessian conversion share; the scratch dict lets the
+    # cost share that LY too, so a point costs one LY instead of two.
     c_on, c_off = res_on.counters, res_off.counters
-    tcg_calls = sum(rec.inner_iters is not None for rec in res_off.history)
+    ok &= c_on == c_off
     ok &= cnt_on == c_on["cost_evals"] + c_on["hess_evals"]
-    ok &= cnt_off == (
-        c_off["cost_evals"] + c_off["grad_evals"] + c_off["hess_evals"] + tcg_calls
-    )
-    ok &= cnt_off - cnt_on == c_off["grad_evals"] + tcg_calls
-    ok &= c_off["grad_evals"] > 0 and tcg_calls > 0
+    ok &= cnt_off == c_off["cost_evals"] + c_off["grad_evals"] + c_off["hess_evals"]
+    ok &= c_off["grad_evals"] > 0
     _report(5, ok, "caching: identical results, LY multiplies 2 -> 1 per point", t0)
 
 

@@ -149,14 +149,14 @@ def _counting_sphere_problem():
     return p, calls
 
 
-def _hessians(caching):
+def _hessians(with_token):
     p, calls = _counting_sphere_problem()
     rng = np.random.default_rng(4)
-    store = CacheStore(caching=caching)
+    store = CacheStore()
     values = []
     for _ in range(3):  # three points, five directions each
         x = p.manifold.rand_point(rng)
-        tok = store.token()
+        tok = store.token() if with_token else None  # None: one-shot calls
         get_gradient(p, x, store, tok)
         for _ in range(5):
             values.append(get_hessian(p, x, p.manifold.rand_tangent(x, rng), store, tok))
@@ -164,18 +164,18 @@ def _hessians(caching):
 
 
 def test_egrad_runs_once_per_point_with_caching():
-    values, calls = _hessians(caching=True)
+    values, calls = _hessians(with_token=True)
     assert calls == {"egrad": 3, "ehess": 15}
 
 
 def test_egrad_runs_per_hessian_product_without_caching():
-    values, calls = _hessians(caching=False)
+    values, calls = _hessians(with_token=False)
     assert calls == {"egrad": 3 + 15, "ehess": 15}
 
 
 def test_hessian_values_do_not_depend_on_caching():
-    on, _ = _hessians(caching=True)
-    off, _ = _hessians(caching=False)
+    on, _ = _hessians(with_token=True)
+    off, _ = _hessians(with_token=False)
     assert all(np.array_equal(a, b) for a, b in zip(on, off))
 
 
@@ -507,9 +507,16 @@ def test_tcg_array_loop_with_a_hessian_that_returns_its_input(precond):
 
 @pytest.mark.parametrize("loop", ["arrays", "generic"])
 @pytest.mark.parametrize("which", ["rhess", "ehess", "precond"])
-@pytest.mark.parametrize("M", [sphere_factory(4), euclidean_factory(4)], ids=lambda M: M.name)
-@pytest.mark.parametrize("shape", [(5,), (1,)], ids=["longer", "broadcast"])
+@pytest.mark.parametrize(
+    "M",
+    [sphere_factory(4), euclidean_factory(4), stiefel_factory(6, 2), rotations_factory(3)],
+    ids=lambda M: M.name,
+)
+@pytest.mark.parametrize("shape", ["longer", "broadcast"])
 def test_tcg_rejects_a_wrong_shaped_product(M, which, loop, shape):
+    # One more row, or a single row that broadcasts against the point.
+    n, *rest = np.shape(M.rand_point(np.random.default_rng(0)))
+    shape = (n + 1 if shape == "longer" else 1, *rest)
     p = make_quadratic_problem(M, seed=1)
     if which == "precond":
         p = dataclasses.replace(p, precond=lambda x, u: np.ones(shape))

@@ -107,6 +107,16 @@ def test_inner_shape_mismatch():
         S.inner(x, np.zeros(3), np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         S.proj(x, np.zeros(2))
+    # The Hessian conversions check the egrad and each ehess output before
+    # any arithmetic, where a (1, p) or (n, 1) array would broadcast.
+    for M in (stiefel_factory(4, 2), rotations_factory(3), euclidean_factory(4, 2)):
+        y = M.rand_point(np.random.default_rng(0))
+        n, k = y.shape
+        for wrong in (np.zeros((1, k)), np.zeros((n, 1)), np.zeros((n + 1, k))):
+            with pytest.raises(DimensionMismatchError, match="ehess2rhess: egrad"):
+                M.ehess2rhess(y, wrong)
+            with pytest.raises(DimensionMismatchError, match="ehess2rhess: ehess"):
+                M.ehess2rhess(y, np.zeros_like(y))(wrong, np.zeros_like(y))
 
 
 def test_proj_examples():

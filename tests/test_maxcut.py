@@ -94,6 +94,19 @@ def test_load_graph_malformed_and_negative(tmp_path):
     f.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no nodes"):
         load_graph(f)
+    for text, message in [
+        ("p 3 1\np 3 1\n1 2\n", ":2: duplicate header line"),
+        ("p\n1 2\n", ":1: malformed header"),
+        ("p three 1\n", ":1: malformed header"),
+        ("p 0 0\n", ":1: nonpositive node count"),
+        ("1 2\n1 2 3 4\n", ":2: malformed edge line"),
+        ("1\n", ":1: malformed edge line"),
+        ("1 2\n0 2\n", ":2: nonpositive node index"),
+        ("2 -1\n", ":1: nonpositive node index"),
+    ]:
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_graph(f)
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-nan", "Infinity"])
@@ -102,6 +115,16 @@ def test_load_graph_rejects_nonfinite_weight(tmp_path, weight):
     f.write_text(f"1 2 1\n1 3 {weight}\n")
     with pytest.raises(ValueError, match=r":2: non-finite weight"):
         load_graph(f)
+
+
+def test_from_edges_rejects_self_loops_out_of_range_edges_and_negative_weights():
+    with pytest.raises(ValueError, match="self-loop on node 2"):
+        Graph.from_edges(3, [(1, 2, 1.0), (2, 2, 1.0)])
+    for edge in [(0, 1, 1.0), (1, 4, 1.0), (4, 1, 1.0)]:
+        with pytest.raises(ValueError, match=r"out of range for n=3"):
+            Graph.from_edges(3, [edge])
+    with pytest.raises(ValueError, match=r"negative weight -0.5 on edge \(2, 1\)"):
+        Graph.from_edges(3, [(2, 1, -0.5)])
 
 
 def test_from_edges_rejects_nonfinite_weight():
@@ -566,6 +589,16 @@ def test_escalation_formats_no_log_message_when_debug_is_off(monkeypatch, caplog
 def test_escalation_requires_r0_at_least_two():
     with pytest.raises(ValueError):
         rank_escalation(laplacian(k3()), r0=1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_certify_and_escalation_reject_a_tol_that_is_not_positive_and_finite(tol):
+    L = laplacian(k5())
+    Y = build_problem(L, 3).manifold.rand_point(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="certify: tol must be positive and finite"):
+        certify(L, Y, tol)
+    with pytest.raises(ValueError, match="rank_escalation: tol must be positive and finite"):
+        rank_escalation(L, tol=tol)
 
 
 def test_escalation_random_graphs_bound_sandwich():

@@ -83,11 +83,11 @@ def test_cache_never_crosses_tokens():
 
 
 def test_caching_disabled_counts_every_call():
+    # A one-shot call (no token) caches nothing.
     p, calls, _ = _counting_problem()
-    store = CacheStore(caching=False)
-    tok = store.token()
-    a = get_cost(p, np.ones(4), store, tok)
-    b = get_cost(p, np.ones(4), store, tok)
+    store = CacheStore()
+    a = get_cost(p, np.ones(4), store)
+    b = get_cost(p, np.ones(4), store)
     assert a == b  # caching changes counters only, never values
     assert calls["cost"] == 2
     assert store.cost_evals == 2

@@ -1,6 +1,7 @@
 """Solver behavior: line-search descent, CG finite termination, truncated CG,
 trust regions, shared stopping, CSV export, and determinism."""
 
+import dataclasses
 import logging
 import math
 
@@ -19,6 +20,7 @@ from riemopt import (
     tcg_subsolver,
     trust_regions,
 )
+from riemopt.exceptions import DegenerateStepError
 from riemopt.solvers.core import (
     GRADIENT_TOLERANCE,
     MAX_ITER,
@@ -524,34 +526,80 @@ def test_line_search_may_accept_an_earlier_trial(solver):
     )
     assert a.history == b.history
     assert np.array_equal(a.x_final, b.x_final)
+    # Every trial keeps its token, so the accepted point's cost is not
+    # evaluated again: each step adds the probe and nothing else.
+    steps = len(b.history) - 1
+    assert a.counters["cost_evals"] == 1 + steps
+    assert b.counters["cost_evals"] == 1 + 2 * steps
 
 
-@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
-def test_counters_do_not_depend_on_caching(solver):
-    # The outer loop carries each point's cost and gradient forward, so
-    # turning the cache off re-evaluates nothing.
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
+def test_a_degenerate_trial_step_costs_infinity(solver):
+    # A trial whose retraction raises DegenerateStepError costs +inf, and
+    # the line search backtracks past it instead of ending the run.
+    p = _euclid_quadratic(np.diag([1.0, 2.0, 3.0]))
+    M = p.manifold
+
+    def retract(x, u, t=1.0):
+        if t * M.norm(x, u) > 0.5:
+            raise DegenerateStepError("trial step too long")
+        return M.retract(x, u, t)
+
+    p = dataclasses.replace(p, manifold=dataclasses.replace(M, retract=retract))
+    values = []
+
+    def line_search(phi, phi0, slope, t0):
+        def logged(t):
+            values.append(phi(t))
+            return values[-1]
+
+        return backtracking_line_search(logged, phi0, slope, t0, opts)
+
+    opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
+    res = solver(p, np.array([3.0, -2.0, 1.0]), opts)
+    assert math.inf in values
+    assert res.stop_reason == GRADIENT_TOLERANCE
+
+
+@pytest.mark.parametrize("refused", ["conjugate", "all"])
+def test_cg_retries_a_failed_conjugate_direction_along_minus_grad(refused):
+    # The line search refuses the first conjugate direction (its second
+    # call); CG retries once at the same point along -grad.  Only when that
+    # retry fails too does the run end as step_collapse.
+    p, _ = rayleigh_problem(8, seed=33)
+    calls = []  # (phi0, slope) of each line search
+
+    def line_search(phi, phi0, slope, t0):
+        calls.append((phi0, slope))
+        if len(calls) == 2 or (refused == "all" and len(calls) > 2):
+            return None
+        return backtracking_line_search(phi, phi0, slope, t0, opts)
+
+    opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
+    res = conjugate_gradient(p, opts=opts, rng=np.random.default_rng(34))
+    (f1, conj_slope), (f1_again, retry_slope) = calls[1], calls[2]
+    assert f1 == f1_again == res.history[1].cost and conj_slope != retry_slope
+    assert retry_slope == pytest.approx(-res.history[1].grad_norm ** 2, rel=1e-12)
+    if refused == "all":
+        assert res.stop_reason == STEP_COLLAPSE and len(calls) == 3
+    else:
+        assert res.stop_reason == GRADIENT_TOLERANCE
+
+
+def test_tr_rerun_after_a_rejected_step_adds_no_hess_evals():
+    # The tCG products at a point live in the point's cache entry, so the
+    # rerun after a rejected step reads them back: only the first tCG call
+    # at each point computes Hessian-vector products.
     p, _ = rayleigh_problem(8, seed=29)
-    runs = [
-        solver(p, opts=SolverOptions(caching=caching, clock=lambda: 0.0),
-               rng=np.random.default_rng(30))
-        for caching in (True, False)
-    ]
-    assert runs[0].history == runs[1].history
-    assert runs[0].counters == runs[1].counters
-
-
-def test_tr_counters_do_not_depend_on_caching_after_a_rejected_step():
-    # The tCG products a rerun at the same point reads back belong to the
-    # trust-region step rule, not to the point's cache token.
-    p, _ = rayleigh_problem(8, seed=29)
-    runs = [
-        trust_regions(p, opts=SolverOptions(caching=caching, delta0=math.pi, clock=lambda: 0.0),
-                      rng=np.random.default_rng(30))
-        for caching in (True, False)
-    ]
-    assert any(rec.rho is not None and rec.step_size == 0.0 for rec in runs[0].history)
-    assert runs[0].history == runs[1].history
-    assert runs[0].counters == runs[1].counters
+    res = trust_regions(p, opts=SolverOptions(delta0=math.pi, clock=lambda: 0.0),
+                        rng=np.random.default_rng(30))
+    rerun = [rec.rho is not None and rec.step_size == 0.0 for rec in res.history[:-1]]
+    assert any(rerun)
+    assert res.counters["hess_evals"] == sum(
+        rec.inner_iters
+        for rec, again in zip(res.history[1:], rerun)
+        if rec.inner_iters is not None and not again
+    )
 
 
 def test_records_are_logged_at_debug_level(caplog):
