@@ -22,7 +22,6 @@ from .problem import (
     CacheStore,
     ProblemDef,
     approx_hessian_fd,
-    check_problem,
     get_cost,
     get_gradient,
     get_hessian,
@@ -68,7 +67,6 @@ __all__ = [
     "get_hessian",
     "hessian_at",
     "approx_hessian_fd",
-    "check_problem",
     "SolverOptions",
     "IterationRecord",
     "RunResult",

@@ -10,6 +10,7 @@ factored triples, tuples of components).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -146,6 +147,15 @@ def embedded_descriptor(shape, proj, **fields) -> ManifoldDescriptor:
     return ManifoldDescriptor(proj=proj, **{**defaults, **fields})
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_mask(rows: int, cols: int) -> np.ndarray:
+    """The entries ``np.triu`` keeps in a rows x cols matrix: on and above
+    the diagonal.  Read-only, since every caller of one size shares it."""
+    mask = ~np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def qr_positive(a: np.ndarray, with_r: bool = False):
     """Q factor of the thin QR of a real m x n matrix with diag(R) >= 0, or
     (Q, R) with ``with_r``.
@@ -158,14 +168,17 @@ def qr_positive(a: np.ndarray, with_r: bool = False):
     private float copy, as it does, and skips its per-call wrapper (type
     promotion, two ``errstate`` blocks and an ``np.triu`` that most callers
     discard), which costs more than the factorization of the small matrices
-    the retractions pass in.
+    the retractions pass in.  R is ``np.triu``'s own ``np.where`` with a
+    mask made once per size, since ``np.triu`` rebuilds its mask with
+    ``np.tri`` on every call.
     """
     packed = a.astype(float, copy=True)  # qr_r_raw overwrites its argument
     # R on and above the diagonal of packed, the Householder vectors below.
     tau = _umath_linalg.qr_r_raw(packed)
     q = _umath_linalg.qr_reduced(packed, tau)
-    d = np.sign(np.diagonal(packed))
+    d = np.sign(packed.diagonal())
     d[d == 0] = 1.0
     if not with_r:
         return q * d
-    return q * d, np.triu(packed[: d.size]) * d[:, None]
+    r = packed[: d.size]
+    return q * d, np.where(_upper_mask(*r.shape), r, 0.0) * d[:, None]

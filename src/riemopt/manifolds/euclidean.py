@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ManifoldDescriptor, check_shape, embedded_descriptor
+from .base import ManifoldDescriptor, check_shape, embedded_descriptor, zero_step
 
 
 def _flat_ehess2rhess(x, egrad):
@@ -31,6 +31,8 @@ def euclidean_factory(*shape: int) -> ManifoldDescriptor:
         return np.asarray(z, dtype=float)
 
     def retract(x, u, t=1.0):
+        if zero_step(u, t):
+            return x
         return x + t * u
 
     return embedded_descriptor(

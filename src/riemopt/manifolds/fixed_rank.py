@@ -86,9 +86,13 @@ def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
             raise RankCollapseError(
                 f"fixed-rank retract: singular value {k} fell to {sv[k - 1]:.3e}"
             )
-        left = np.hstack([x.u, qu]) @ us[:, :k]
-        right = np.hstack([x.v, qv]) @ vts[:k].T
-        return FixedRankPoint(u=left, s=np.diag(sv[:k]), v=right)
+        # concatenate is np.hstack's body without its wrapper, and s is
+        # built as np.diag builds it.
+        left = np.concatenate((x.u, qu), axis=1) @ us[:, :k]
+        right = np.concatenate((x.v, qv), axis=1) @ vts[:k].T
+        s = np.zeros((k, k))
+        s.ravel()[:: k + 1] = sv[:k]
+        return FixedRankPoint(u=left, s=s, v=right)
 
     def rand_point(rng):
         z = rng.standard_normal((m, n))

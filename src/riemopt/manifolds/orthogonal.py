@@ -103,6 +103,7 @@ def grassmann_factory(n: int, p: int) -> ManifoldDescriptor:
         return z - x @ (x.T @ z)
 
     def ehess2rhess(x, egrad):
+        check_shape(x, egrad, "ehess2rhess: egrad")
         xg = x.T @ egrad
 
         def hess(ehess_u, u):

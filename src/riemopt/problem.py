@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .exceptions import MissingDerivativeError
 from .manifolds.base import ManifoldDescriptor, Point, Tangent
@@ -284,68 +284,3 @@ def apply_precond(p: ProblemDef, x: Point, u: Tangent) -> Tangent:
     if p.precond is None:
         return u
     return p.precond(x, u)
-
-
-@dataclass
-class ProblemReport:
-    """Preflight summary of which solver capabilities a problem enables."""
-
-    has_cost: bool
-    gradient_source: str  # "rgrad" | "egrad" | "missing"
-    hessian_source: str  # "rhess" | "ehess" | "fd-fallback" | "unavailable"
-    has_precond: bool
-    capabilities: list = field(default_factory=list)
-    probe_failures: list = field(default_factory=list)
-
-    def summary(self) -> str:
-        lines = [
-            f"cost: {'present' if self.has_cost else 'missing'}",
-            f"gradient: {self.gradient_source}",
-            f"hessian: {self.hessian_source}",
-            f"preconditioner: {'present' if self.has_precond else 'absent'}",
-            "capabilities: " + (", ".join(self.capabilities) or "none"),
-        ]
-        if self.probe_failures:
-            lines.append("probe failures: " + "; ".join(self.probe_failures))
-        return "\n".join(lines)
-
-
-def check_problem(p: ProblemDef, rng=None) -> ProblemReport:
-    """Validate derivative availability and probe shapes at a random point."""
-    import numpy as np
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    caps = []
-    if p.has_gradient():
-        caps.append("gradient-based solvers")
-        caps.append(
-            "Hessian-based solvers"
-            + (" (FD approximation)" if p.hessian_source == "fd-fallback" else "")
-        )
-    else:
-        caps.append("gradient missing; gradient-based solvers unavailable")
-
-    report = ProblemReport(
-        has_cost=p.cost is not None,
-        gradient_source=p.gradient_source,
-        hessian_source=p.hessian_source,
-        has_precond=p.precond is not None,
-        capabilities=caps,
-    )
-
-    M = p.manifold
-    try:
-        x = M.rand_point(rng)
-        f = get_cost(p, x)
-        if not np.isfinite(f):
-            report.probe_failures.append(f"cost returned non-finite value {f}")
-        if p.has_gradient():
-            g = get_gradient(p, x)
-            resid = M.norm(x, M.lincomb(x, 1.0, g, -1.0, M.proj(x, M.tangent_to_ambient(x, g))))
-            if resid > 1e-8 * max(1.0, M.norm(x, g)):
-                report.probe_failures.append(
-                    f"gradient is not tangent (residual {resid:.2e})"
-                )
-    except Exception as exc:  # the report carries failures instead of raising
-        report.probe_failures.append(f"{type(exc).__name__}: {exc}")
-    return report

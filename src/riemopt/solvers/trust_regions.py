@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import DegenerateStepError, RankCollapseError
 from ..manifolds.base import array_lincomb, check_shape, trace_inner
 from ..problem import ProblemDef, get_cost, hessian_at
-from .core import RunResult, SolverOptions, iterate
+from .core import NONFINITE, RunResult, SolverOptions, iterate
 
 # tCG stop flags
 TCG_RESIDUAL = "residual"
@@ -193,7 +193,9 @@ def trust_regions(
     retraction that raised ``DegenerateStepError`` or ``RankCollapseError``,
     the rerun at the same point with a smaller Delta computes no product
     again, and the products go with the entry when a step is accepted.  The
-    rule itself keeps only Delta.
+    rule itself keeps only Delta.  A step whose model decrease is NaN or
+    infinite (a non-finite Hessian product) ends the run as ``nonfinite``
+    before it retracts.
     """
     M = p.manifold
 
@@ -206,6 +208,11 @@ def trust_regions(
             eta, h_eta, tcg_stop, inner = tcg_subsolver(
                 p, x, g, delta, opts, store, tok, tok.setdefault("tcg_products", [])
             )
+            model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
+            if not math.isfinite(model_decrease):
+                # A NaN or infinite Hessian product: rho would reject every
+                # step, and each rerun would read the same product back.
+                return NONFINITE
             try:
                 x_prop = M.retract(x, eta, 1.0)
                 tok_prop = store.token()
@@ -215,7 +222,6 @@ def trust_regions(
                 delta /= 4.0
                 return x, tok, 0.0, inner, delta, -math.inf
 
-            model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
             reg = opts.rho_regularization * max(1.0, abs(f))
             rho = (f - f_prop + reg) / (model_decrease + reg)
 

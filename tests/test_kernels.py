@@ -28,7 +28,7 @@ from riemopt import (
     tcg_subsolver,
     trust_regions,
 )
-from riemopt.exceptions import DegenerateStepError, DimensionMismatchError
+from riemopt.exceptions import DegenerateStepError, DimensionMismatchError, RankCollapseError
 from riemopt.manifolds.base import (
     array_lincomb,
     check_shape,
@@ -36,6 +36,8 @@ from riemopt.manifolds.base import (
     trace_inner,
     zero_step,
 )
+from riemopt.manifolds.fixed_rank import FixedRankPoint, FixedRankTangent
+from riemopt.manifolds.spheres import _normalize_axis
 from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
 from riemopt.solvers.trust_regions import (
     TCG_BOUNDARY,
@@ -608,6 +610,110 @@ def test_qr_positive_diagonal_signs_are_positive():
     q, r = qr_positive(a, with_r=True)
     assert np.all(np.diagonal(r) > 0)
     assert np.allclose(q @ r, a) and np.allclose(q.T @ q, np.eye(3))
+
+
+# --- fixed-rank and normalization retractions -------------------------------------
+
+
+def _fixed_rank_retract_reference(k, x, u, t):
+    """The fixed-rank retraction body that np.concatenate, qr_positive's
+    cached mask and the direct diagonal replaced: R by np.triu (inside
+    np.linalg.qr), blocks joined by np.hstack, S by np.diag."""
+    qu, ru = _qr_positive_reference(u.up)
+    qv, rv = _qr_positive_reference(u.vp)
+    core = np.zeros((2 * k, 2 * k))
+    core[:k, :k] = x.s + t * u.m
+    core[:k, k:] = t * rv.T
+    core[k:, :k] = t * ru
+    us, sv, vts = np.linalg.svd(core)
+    if sv[k - 1] < 1e-14:
+        return None
+    left = np.hstack([x.u, qu]) @ us[:, :k]
+    right = np.hstack([x.v, qv]) @ vts[:k].T
+    return FixedRankPoint(u=left, s=np.diag(sv[:k]), v=right)
+
+
+def _fixed_rank_tangents(x, u):
+    yield u
+    yield FixedRankTangent(m=u.m, up=np.zeros_like(u.up), vp=u.vp)
+    yield FixedRankTangent(m=u.m, up=u.up, vp=np.zeros_like(u.vp))
+    yield FixedRankTangent(m=np.zeros_like(u.m), up=u.up, vp=u.vp)
+    yield FixedRankTangent(m=-x.s, up=np.zeros_like(u.up), vp=np.zeros_like(u.vp))
+
+
+# k = min(m, n) leaves no room for Up (k = m) or Vp (k = n): those blocks
+# are zero in every tangent.
+@pytest.mark.parametrize("m, n, k", [(8, 6, 2), (5, 4, 2), (6, 6, 3), (3, 7, 1),
+                                     (4, 4, 4), (5, 3, 3), (3, 6, 3)])
+def test_fixed_rank_retract_matches_the_reference_bit_for_bit(m, n, k):
+    M = fixed_rank_factory(m, n, k)
+    rng = np.random.default_rng(100 * m + 10 * n + k)
+    collapses = 0
+    for _ in range(4):
+        x = M.rand_point(rng)
+        for u in _fixed_rank_tangents(x, M.rand_tangent(x, rng)):
+            for t in (1.0, 0.3, -0.7, 2.5):
+                expected = _fixed_rank_retract_reference(k, x, u, t)
+                if expected is None:
+                    collapses += 1
+                    with pytest.raises(RankCollapseError):
+                        M.retract(x, u, t)
+                    continue
+                y = M.retract(x, u, t)
+                assert all(_same_bits(getattr(y, f), getattr(expected, f)) for f in "usv")
+    assert collapses >= 4  # at least the -S tangent at t = 1, at each point
+
+
+def _normalize_reference(y, axis):
+    """The np.linalg.norm body that _normalize_axis replaced; None where it
+    raised DegenerateStepError."""
+    norms = np.linalg.norm(y, axis=axis, keepdims=True)
+    if np.min(norms) < 1e-14:
+        return None
+    return y / norms
+
+
+def _slice_of(y, axis, i):
+    """Index of the i-th slice that _normalize_axis normalizes on its own."""
+    return (slice(None),) * (y.ndim - 1 - axis) + (i,)
+
+
+def _normalize_inputs(rng):
+    for shape, axis in [((40,), None), ((1,), None), ((10, 3), None), ((12, 3), 1),
+                        ((8, 6), 0), ((8, 6), 1)]:
+        y = rng.standard_normal(shape)
+        yield y, axis
+        if y.ndim == 2:
+            yield y.T, axis
+            # A Fortran-order array sums in memory order, as np.linalg.norm
+            # does (np.vdot would sum in C order): several draws, since the
+            # two orders often round alike.
+            for _ in range(10):
+                yield np.asfortranarray(rng.standard_normal(shape)), axis
+        for bad in (0.0, -0.0, np.nan, 1e-300, 1e200):
+            z = y.copy()
+            if axis is None:
+                z[...] = bad  # the whole array is the one slice
+            else:
+                z[_slice_of(y, axis, 1)] = bad
+            yield z, axis
+            if bad == bad and axis is not None:
+                w = z.copy()  # a NaN slice hides the bad one from min
+                w[_slice_of(y, axis, 0)] = np.nan
+                yield w, axis
+
+
+def test_normalize_axis_matches_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for y, axis in _normalize_inputs(rng):
+        with np.errstate(all="ignore"):  # 0 / 0 and overflow, on both sides
+            expected = _normalize_reference(y, axis)
+            if expected is None:
+                with pytest.raises(DegenerateStepError, match="near-"):
+                    _normalize_axis(y, axis, "test")
+                continue
+            got = _normalize_axis(y, axis, "test")
+        assert _same_bits(got, expected)
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,38 @@ def test_inner_shape_mismatch():
                 M.ehess2rhess(y, np.zeros_like(y))(wrong, np.zeros_like(y))
 
 
+@pytest.mark.parametrize(
+    "M, wrong",
+    [
+        (oblique_factory(4, 3), (1, 3)),
+        (elliptope_factory(5, 2), (5, 1)),
+        (grassmann_factory(5, 2), (5, 1)),
+        (grassmann_factory(5, 2), (1, 2)),
+        (spectrahedron_factory(4, 2), (4, 1)),
+        (sphere_factory(4), (1,)),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_hessian_conversion_checks_the_egrad_shape(M, wrong):
+    # A (1, m) or (n, 1) egrad would broadcast through <x, egrad> per slice
+    # (or raise numpy's ValueError in x' egrad) instead of failing here.
+    p = ProblemDef(
+        manifold=M,
+        cost=lambda x: 0.0,
+        egrad=lambda x: np.ones(wrong),
+        ehess=lambda x, u: np.zeros_like(u),
+    )
+    x = M.rand_point(np.random.default_rng(0))
+    u = M.rand_tangent(x, np.random.default_rng(1))
+    with pytest.raises(DimensionMismatchError, match="ehess2rhess: egrad"):
+        get_hessian(p, x, u)
+    with pytest.raises(DimensionMismatchError, match="ehess2rhess: egrad"):
+        M.ehess2rhess(x, np.ones(wrong))
+    # A wrong-shaped ehess output fails in the conversion's projection.
+    with pytest.raises(DimensionMismatchError):
+        M.ehess2rhess(x, np.zeros_like(x))(np.ones(wrong), u)
+
+
 def test_proj_examples():
     S = sphere_factory(3)
     e1 = np.array([1.0, 0.0, 0.0])
@@ -337,14 +369,9 @@ def test_retraction_axioms(M):
     assert e3 / max(e4, 1e-300) >= 50.0  # order >= 2 decay
 
 
-# The factories retracted by a positive-diagonal QR, alone or in a product.
-QR_RETRACTED = [
-    M for M in MATRIX
-    if M.name.startswith(("Stiefel", "Grassmann", "Rotations", "FixedRank", "Product(Stiefel"))
-]
-
-
-@pytest.mark.parametrize("M", QR_RETRACTED, ids=[M.name for M in QR_RETRACTED])
+# Every factory of the matrix; the name is that of the QR-retracted
+# factories the test first covered.
+@pytest.mark.parametrize("M", MATRIX, ids=IDS)
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(1e-8, 1e2))
 def test_qr_retraction_properties(M, seed, t):

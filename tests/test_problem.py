@@ -1,5 +1,5 @@
-"""Problem layer: derivative resolution, token caching, counters, the FD
-Hessian fallback, and the preflight report."""
+"""Problem layer: derivative resolution, token caching, counters, and the FD
+Hessian fallback."""
 
 import logging
 
@@ -10,7 +10,6 @@ from riemopt import (
     CacheStore,
     ProblemDef,
     approx_hessian_fd,
-    check_problem,
     euclidean_factory,
     fixed_rank_factory,
     get_cost,
@@ -19,8 +18,6 @@ from riemopt import (
     sphere_factory,
 )
 from riemopt.exceptions import MissingDerivativeError
-
-from _helpers import rayleigh_problem
 
 
 def _counting_problem(n=4):
@@ -271,55 +268,3 @@ def test_fd_fallback_on_fixed_rank_logged_once(caplog):
     # The fallback result is still a usable tangent vector.
     h = get_hessian(p, x, u)
     assert np.isfinite(M.norm(x, h))
-
-
-# --- preflight report -------------------------------------------------------
-
-
-def test_check_problem_cost_only():
-    p = ProblemDef(manifold=sphere_factory(3), cost=lambda x: float(x[0]))
-    rep = check_problem(p)
-    assert rep.gradient_source == "missing"
-    assert rep.hessian_source == "unavailable"
-    assert any("gradient missing" in c for c in rep.capabilities)
-    assert "gradient: missing" in rep.summary()
-
-
-def test_check_problem_fd_fallback():
-    p = ProblemDef(
-        manifold=sphere_factory(3),
-        cost=lambda x: float(x @ x),
-        egrad=lambda x: 2.0 * x,
-    )
-    rep = check_problem(p)
-    assert rep.gradient_source == "egrad"
-    assert rep.hessian_source == "fd-fallback"
-    assert any("FD approximation" in c for c in rep.capabilities)
-
-
-def test_check_problem_full():
-    p, _ = rayleigh_problem(4, seed=11)
-    rep = check_problem(p)
-    assert rep.gradient_source == "egrad"
-    assert rep.hessian_source == "ehess"
-    assert rep.probe_failures == []
-
-
-def test_check_problem_detects_nontangent_rgrad():
-    M = sphere_factory(3)
-    p = ProblemDef(
-        manifold=M,
-        cost=lambda x: float(x @ x),
-        rgrad=lambda x: np.array([1.0, 1.0, 1.0]),  # not tangent
-    )
-    rep = check_problem(p)
-    assert any("not tangent" in f for f in rep.probe_failures)
-
-
-def test_check_problem_reports_exceptions_not_raises():
-    def bad_cost(x):
-        raise RuntimeError("boom")
-
-    p = ProblemDef(manifold=sphere_factory(3), cost=bad_cost)
-    rep = check_problem(p)
-    assert any("boom" in f for f in rep.probe_failures)

@@ -2,9 +2,9 @@
 
 Every combination of egrad / rgrad / ehess / rhess on a sphere, plus ehess
 on fixed rank (no exact Hessian conversion there).  For each one the
-Hessian route ``check_problem`` reports is the one ``get_hessian`` takes,
-and ``trust_regions`` fails with ``MissingDerivativeError`` exactly when
-the problem has no gradient.
+route ``ProblemDef.hessian_source`` reports is the one ``get_hessian``
+takes, and ``trust_regions`` fails with ``MissingDerivativeError`` exactly
+when the problem has no gradient.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ from riemopt import (
     CacheStore,
     ProblemDef,
     SolverOptions,
-    check_problem,
     fixed_rank_factory,
     get_hessian,
     sphere_factory,
@@ -103,13 +102,12 @@ def test_reported_route_is_the_route_taken(given, monkeypatch):
     calls = []
     M, cost, fns = _sphere_callables(calls)
     p = ProblemDef(manifold=M, cost=cost, **{k: fns[k] for k in given})
-    report = check_problem(p)
     expected = _expected_route(given)
-    assert report.hessian_source == expected
+    assert p.hessian_source == expected
     assert _route_taken(p, monkeypatch, calls) == expected
     assert p.has_exact_hessian() == (expected in ("rhess", "ehess"))
     grad = "rgrad" if "rgrad" in given else "egrad" if "egrad" in given else "missing"
-    assert report.gradient_source == grad
+    assert p.gradient_source == grad
     assert p.has_gradient() == (grad != "missing")
 
 
@@ -147,7 +145,7 @@ def _fixed_rank_problem(calls):
 def test_fixed_rank_ehess_takes_the_fd_route_and_says_why(monkeypatch, caplog):
     calls = []
     p = _fixed_rank_problem(calls)
-    assert check_problem(p).hessian_source == "fd-fallback"
+    assert p.hessian_source == "fd-fallback"
     with caplog.at_level(logging.INFO, logger="riemopt.problem"):
         assert _route_taken(p, monkeypatch, calls) == "fd-fallback"
     assert "ehess" not in calls

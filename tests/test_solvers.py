@@ -13,10 +13,12 @@ from riemopt import (
     SolverOptions,
     conjugate_gradient,
     euclidean_factory,
+    fixed_rank_factory,
     history_to_csv,
     shared_stopping,
     sphere_factory,
     steepest_descent,
+    stiefel_factory,
     tcg_subsolver,
     trust_regions,
 )
@@ -99,6 +101,39 @@ def test_nonfinite_cost_or_gradient_stops_the_run(solver, bad, value):
     assert len(res.history) == 1
     assert res.counters["cost_evals"] == 1
     assert res.counters["hess_evals"] == 0
+
+
+# Fixed rank has no exact ehess2rhess, so only its rhess route is exact.
+_NONFINITE_MODEL_CASES = [
+    (M, route)
+    for M in (sphere_factory(5), stiefel_factory(5, 2), fixed_rank_factory(5, 4, 2))
+    for route in ("ehess", "rhess")
+    if route == "rhess" or M.ehess2rhess is not None
+]
+
+
+@pytest.mark.parametrize(
+    "M, route", _NONFINITE_MODEL_CASES,
+    ids=[f"{M.name}-{route}" for M, route in _NONFINITE_MODEL_CASES],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the tCG
+def test_trust_regions_stops_on_a_nonfinite_model(M, route, value):
+    # With a NaN or inf Hessian product rho is NaN, so every step would be
+    # rejected and every rerun read the same product back, to max_iter.
+    bad = ((lambda x, u: np.full_like(u, value)) if route == "ehess"
+           else (lambda x, u: M.lincomb(x, value, u)))
+    p = dataclasses.replace(make_quadratic_problem(M, seed=3), **{route: bad})
+    assert p.hessian_source == route
+    res = trust_regions(p, rng=np.random.default_rng(0), opts=SolverOptions(max_iter=200))
+    assert res.stop_reason == NONFINITE
+    assert len(res.history) == 1
+    # The step stops before it retracts: no cost beyond the start point's.
+    # An infinite curvature gives alpha = 0 and a NaN residual, and the tCG
+    # may take one more product before it stops.
+    assert res.counters["cost_evals"] == 1 and res.counters["grad_evals"] == 1
+    assert res.counters["hess_evals"] in (1, 2)
+    assert math.isfinite(res.cost_final)
 
 
 def test_options_validation():
