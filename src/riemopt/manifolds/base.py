@@ -34,8 +34,6 @@ class ManifoldDescriptor:
         dim: intrinsic dimension.
         typical_dist: positive length scale, used to size trust-region radii
             and line-search steps.
-        second_order_retraction: True when the retraction matches geodesics
-            to second order (gates the expected slope in Hessian checks).
         ehess2rhess: ``ehess2rhess(x, egrad)`` returns the Hessian
             conversion at the point x, an operator ``op(ehess_u, u)`` that
             maps the Euclidean Hessian applied to u to the Riemannian one.
@@ -62,7 +60,6 @@ class ManifoldDescriptor:
     ehess2rhess: Optional[
         Callable[[Point, Ambient], Callable[[Ambient, Tangent], Tangent]]
     ] = None
-    second_order_retraction: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 0:

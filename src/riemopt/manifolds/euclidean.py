@@ -46,7 +46,6 @@ def euclidean_factory(*shape: int) -> ManifoldDescriptor:
         rand_point=lambda rng: rng.standard_normal(shape),
         transport=lambda x, y, u: u,
         constraint_violation=lambda x: 0.0,
-        second_order_retraction=True,
     )
 
 
@@ -114,5 +113,4 @@ def product_factory(components: Sequence[ManifoldDescriptor]) -> ManifoldDescrip
         constraint_violation=lambda x: max(
             c.constraint_violation(xi) for c, xi in zip(comps, x)
         ),
-        second_order_retraction=all(c.second_order_retraction for c in comps),
     )

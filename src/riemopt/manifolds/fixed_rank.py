@@ -143,5 +143,4 @@ def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
         lincomb=lincomb,
         tangent_to_ambient=tangent_to_ambient,
         constraint_violation=violation,
-        second_order_retraction=True,
     )

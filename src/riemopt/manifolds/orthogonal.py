@@ -84,8 +84,6 @@ def stiefel_factory(n: int, p: int) -> ManifoldDescriptor:
         name=f"Stiefel({n},{p})",
         dim=n * p - p * (p + 1) // 2,
         typical_dist=math.pi * math.sqrt(p),
-        # The QR retraction is first order only.
-        second_order_retraction=False,
     )
 
 
@@ -117,9 +115,6 @@ def grassmann_factory(n: int, p: int) -> ManifoldDescriptor:
         dim=p * (n - p),
         typical_dist=math.pi * math.sqrt(p),
         ehess2rhess=ehess2rhess,
-        # As a map to the quotient, the Q factor spans col(X + tU), which
-        # agrees with the (second-order) metric projection retraction.
-        second_order_retraction=True,
     )
 
 
@@ -147,5 +142,4 @@ def rotations_factory(n: int) -> ManifoldDescriptor:
         constraint_violation=lambda x: max(
             _orthonormality(x), abs(np.linalg.det(x) - 1.0)
         ),
-        second_order_retraction=False,
     )

@@ -94,7 +94,6 @@ def _normalized_factory(name: str, shape, axis, dim: int, typical_dist: float):
         constraint_violation=lambda x: float(
             np.max(np.abs(np.linalg.norm(x, axis=axis) - 1.0))
         ),
-        second_order_retraction=True,
     )
 
 

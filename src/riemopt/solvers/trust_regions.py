@@ -131,7 +131,7 @@ def tcg_subsolver(
             d_hd = float(inner(d, h_d))
             if products is not None:
                 products.append((h_d, d_hd))
-        if d_hd > 0:
+        if 0 < d_hd < math.inf:
             alpha = r_z / d_hd
             e_pe_new = e_pe + 2.0 * alpha * e_pd + alpha * alpha * d_pd
         else:

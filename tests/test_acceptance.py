@@ -16,6 +16,7 @@ from riemopt import (
     conjugate_gradient,
     sphere_factory,
     steepest_descent,
+    stiefel_factory,
     trust_regions,
 )
 from riemopt.exceptions import DegenerateStepError, RankCollapseError
@@ -116,7 +117,7 @@ def test_acceptance_2_derivative_checks():
     g_rep = check_gradient(p, rng=np.random.default_rng(1))
     h_rep = check_hessian(p, rng=np.random.default_rng(2))
     ok &= g_rep.verdict and 1.8 <= g_rep.fitted_slope <= 2.2
-    ok &= h_rep.verdict and 2.7 <= h_rep.fitted_slope <= 3.3
+    ok &= h_rep.verdict and 1.8 <= h_rep.fitted_slope <= 2.2
     p_mc = build_problem(laplacian(Graph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])), 2)
     ok &= check_gradient(p_mc, rng=np.random.default_rng(3)).verdict
     ok &= check_hessian(p_mc, rng=np.random.default_rng(4)).verdict
@@ -150,8 +151,16 @@ def test_acceptance_2_derivative_checks():
     rep = check_gradient(p_rad, rng=np.random.default_rng(8))
     ok &= (not rep.verdict) and rep.tangency_residual > 1e-8
 
+    # corruption 4: Hessian 1 % off on a first-order (QR) retraction
+    st = make_quadratic_problem(stiefel_factory(5, 2), seed=9)
+    p_st = ProblemDef(
+        manifold=st.manifold, cost=st.cost, egrad=st.egrad,
+        ehess=lambda x, u: 1.01 * st.ehess(x, u),
+    )
+    ok &= not check_hessian(p_st, rng=np.random.default_rng(10)).verdict
+
     elapsed = time.perf_counter() - t0
-    _report(2, ok and elapsed < 5.0, "derivative checks: correct pass, 3 corruptions detected", t0)
+    _report(2, ok and elapsed < 5.0, "derivative checks: correct pass, 4 corruptions detected", t0)
 
 
 # --- 3. Rayleigh-quotient oracle on sphere(50) (< 30 s) ----------------------

@@ -14,14 +14,18 @@ from riemopt import (
     euclidean_factory,
     export_slope_csv,
     fit_loglog_slope,
+    fixed_rank_factory,
+    grassmann_factory,
+    oblique_factory,
     product_factory,
+    rotations_factory,
     sphere_factory,
     stiefel_factory,
 )
 from riemopt.diagnostics import SlopeReport
 from riemopt.exceptions import MissingDerivativeError
 
-from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem
+from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem, tree_scale
 
 SLOPE_MANIFOLDS = manifold_matrix()[::3]  # the smallest size of each factory
 
@@ -211,6 +215,45 @@ def test_check_gradient_detects_scaled_gradient():
     assert "FAIL" in rep.summary()
 
 
+def _one_percent_off(p):
+    """p with its ehess scaled by 1.01, or its egrad when it has no ehess."""
+    if p.ehess is None:
+        return ProblemDef(p.manifold, p.cost, egrad=lambda x: tree_scale(p.egrad(x), 1.01))
+    return ProblemDef(p.manifold, p.cost, egrad=p.egrad,
+                      ehess=lambda x, u: tree_scale(p.ehess(x, u), 1.01))
+
+
+# Draws at which a random direction alone hides egrad scaled by 1.01.
+@pytest.mark.parametrize(
+    "M, seed, draw",
+    [
+        (grassmann_factory(6, 3), 5, 8),
+        (fixed_rank_factory(8, 5, 2), 3, 15),
+        (product_factory([sphere_factory(3), euclidean_factory(2)]), 2, 18),
+        (product_factory([sphere_factory(3), euclidean_factory(2)]), 4, 3),
+        (product_factory([oblique_factory(3, 2), rotations_factory(3)]), 0, 9),
+    ],
+    ids=["grassmann", "fixed-rank", "sphere-x-euclidean-a", "sphere-x-euclidean-b",
+         "oblique-x-rotations"],
+)
+def test_check_gradient_fails_egrad_one_percent_off(M, seed, draw):
+    p = make_quadratic_problem(M, seed=seed, with_hessian=False)
+    assert check_gradient(p, rng=np.random.default_rng(draw)).verdict
+    assert not check_gradient(_one_percent_off(p), rng=np.random.default_rng(draw)).verdict
+
+
+def test_check_gradient_uses_a_given_direction_as_given():
+    p, _ = rayleigh_problem(5, seed=0)
+    M = p.manifold
+    rng = np.random.default_rng(1)
+    x = M.rand_point(rng)
+    u = M.rand_tangent(x, rng)
+    rep = check_gradient(p, x=x, u=u)
+    g = M.egrad2rgrad(x, p.egrad(x))
+    t, rem = rep.samples[-1]
+    assert rem == abs(p.cost(M.retract(x, u, t)) - p.cost(x) - t * M.inner(x, g, u))
+
+
 def test_check_gradient_detects_nontangent_gradient():
     M = sphere_factory(5)
     a = np.diag(np.arange(1.0, 6.0))
@@ -247,9 +290,19 @@ def test_check_hessian_pass_rayleigh():
     p, _ = rayleigh_problem(6, seed=5)
     rep = check_hessian(p, rng=np.random.default_rng(6))
     assert rep.verdict
-    assert 2.7 <= rep.fitted_slope <= 3.3
+    assert 1.8 <= rep.fitted_slope <= 2.2
     assert rep.symmetry_residual <= 1e-8
     assert rep.linearity_residual <= 1e-10
+
+
+EXACT_HESSIAN = [M for M in manifold_matrix() if M.ehess2rhess is not None and M.dim > 0]
+
+
+@pytest.mark.parametrize("M", EXACT_HESSIAN, ids=[M.name for M in EXACT_HESSIAN])
+def test_check_hessian_fails_ehess_one_percent_off(M):
+    p = make_quadratic_problem(M, seed=21)
+    assert check_hessian(p, rng=np.random.default_rng(22)).verdict
+    assert not check_hessian(_one_percent_off(p), rng=np.random.default_rng(22)).verdict
 
 
 def test_check_hessian_zero_hessian_fails_slope_two():
@@ -263,7 +316,7 @@ def test_check_hessian_zero_hessian_fails_slope_two():
     )
     rep = check_hessian(p, rng=np.random.default_rng(7))
     assert not rep.verdict
-    assert rep.fitted_slope < 2.5
+    assert rep.fitted_slope < 1.5  # nothing cancels the gradient's first-order change
 
 
 def test_check_hessian_detects_transposed_term():
@@ -299,37 +352,49 @@ def test_check_hessian_exact_branch_on_euclidean_quadratic():
     assert rep.exact_branch
 
 
-def test_check_hessian_first_order_retraction_expects_slope_two():
-    M = stiefel_factory(5, 2)
-    assert not M.second_order_retraction
-    p = make_quadratic_problem(M, seed=11)
-    rep = check_hessian(p, rng=np.random.default_rng(12))
-    assert rep.expected_slope_range == (1.8, 2.2)
-    assert rep.verdict
+def test_check_hessian_expects_slope_two_whatever_the_retraction():
+    # Stiefel's QR retraction is first order, the elliptope's row
+    # normalization second order: the gradient-field remainder falls like
+    # t^2 on both.
+    for M, seed in ((stiefel_factory(5, 2), 11), (elliptope_factory(6, 3), 13)):
+        p = make_quadratic_problem(M, seed=seed)
+        rep = check_hessian(p, rng=np.random.default_rng(seed + 1))
+        assert rep.expected_slope_range == (1.8, 2.2)
+        assert rep.verdict and rep.fitted_slope <= 2.2
 
 
-def test_check_hessian_second_order_retraction_slope_three():
-    M = elliptope_factory(6, 3)
-    p = make_quadratic_problem(M, seed=13)
-    rep = check_hessian(p, rng=np.random.default_rng(14))
-    assert rep.expected_slope_range == (2.7, 3.3)
-    assert rep.verdict
+def _rayleigh_at_an_eigenvector():
+    # The gradient vanishes at e_2, and so does the remainder's t^2 term.
+    a = np.diag(np.arange(1.0, 41.0))
+    p = ProblemDef(
+        manifold=sphere_factory(40),
+        cost=lambda x: -float(x @ a @ x),
+        egrad=lambda x: -2.0 * a @ x,
+        ehess=lambda x, u: -2.0 * a @ u,
+    )
+    return p, np.eye(40)[2]
+
+
+def _quartic_at_zero():
+    # f = sum(x^4)/12: grad f(tu) - g - t H u = t^3 u^3 / 3.
+    p = ProblemDef(
+        manifold=euclidean_factory(5),
+        cost=lambda x: float(np.sum(x**4)) / 12.0,
+        egrad=lambda x: x**3 / 3.0,
+        ehess=lambda x, u: x**2 * u,
+    )
+    return p, np.zeros(5)
 
 
 @pytest.mark.parametrize(
-    "make, seed",
-    [
-        (lambda: elliptope_factory(12, 3), 39),
-        (lambda: product_factory([stiefel_factory(5, 2), sphere_factory(6)]), 2),
-    ],
-    ids=["Elliptope(12,3)", "Product(Stiefel(5,2), Sphere(6))"],
+    "make", [_rayleigh_at_an_eigenvector, _quartic_at_zero],
+    ids=["sphere-eigenvector", "quartic-at-zero"],
 )
-def test_check_hessian_passes_slope_above_expected_range(make, seed):
-    # Exact Hessians whose remainder falls faster than the expected order:
-    # the next Taylor term vanishes along u (on the product, the first-order
-    # retraction's slope-2 term happens to be negligible).
-    p = make_quadratic_problem(make(), seed=seed)
-    rep = check_hessian(p, rng=np.random.default_rng(seed + 1))
+def test_check_hessian_passes_slope_above_expected_range(make):
+    # Exact Hessians whose remainder falls like t^3: the slope passes from
+    # the low end of the range up.
+    p, x = make()
+    rep = check_hessian(p, x=x, rng=np.random.default_rng(3))
     assert not rep.exact_branch
     assert rep.fitted_slope > rep.expected_slope_range[1]
     assert rep.verdict
@@ -388,7 +453,8 @@ def test_export_slope_csv_bad_path():
 
 def test_check_hessian_runs_egrad_once():
     # Every Hessian-vector product is taken at the same point, so the
-    # user's egrad there runs once and is shared through one cache entry.
+    # user's egrad there runs once and is shared through one cache entry;
+    # the slope test takes one gradient at each of its sample points.
     M = sphere_factory(6)
     base = make_quadratic_problem(M, seed=16)
     calls = []
@@ -400,4 +466,4 @@ def test_check_hessian_runs_egrad_once():
     p = ProblemDef(manifold=M, cost=base.cost, egrad=egrad, ehess=base.ehess)
     rep = check_hessian(p, rng=np.random.default_rng(17))
     assert rep.verdict
-    assert len(calls) == 1
+    assert len(calls) == 1 + len(rep.samples)

@@ -117,7 +117,7 @@ _NONFINITE_MODEL_CASES = [
     ids=[f"{M.name}-{route}" for M, route in _NONFINITE_MODEL_CASES],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf in the tCG
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in a projection
 def test_trust_regions_stops_on_a_nonfinite_model(M, route, value):
     # With a NaN or inf Hessian product rho is NaN, so every step would be
     # rejected and every rerun read the same product back, to max_iter.
@@ -129,10 +129,10 @@ def test_trust_regions_stops_on_a_nonfinite_model(M, route, value):
     assert res.stop_reason == NONFINITE
     assert len(res.history) == 1
     # The step stops before it retracts: no cost beyond the start point's.
-    # An infinite curvature gives alpha = 0 and a NaN residual, and the tCG
-    # may take one more product before it stops.
+    # A NaN or infinite curvature sends the tCG to the boundary after its
+    # first product.
     assert res.counters["cost_evals"] == 1 and res.counters["grad_evals"] == 1
-    assert res.counters["hess_evals"] in (1, 2)
+    assert res.counters["hess_evals"] == 1
     assert math.isfinite(res.cost_final)
 
 
