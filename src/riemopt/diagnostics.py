@@ -6,8 +6,9 @@ check on the gradient field, ||P_x(grad f(y)) - g - t H u|| with P_x the
 projection onto T_xM.  As H u = P_x(D grad f(x)[u]) on a Riemannian
 submanifold, either remainder shrinks like t^2 when the derivative is
 right and like t when it is wrong, whatever the retraction's order.  The
-checks sample the remainder over log-spaced t, fit a log-log slope over
-the cleanest window, and pass when it reaches 1.8 (a remainder whose next
+checks sample the remainder at 26 log-spaced t from 1e-8 to 1, fit a
+log-log slope over the cleanest window of 7 consecutive samples (two
+decades), and pass when it reaches 1.8 (a remainder whose next
 Taylor term vanishes falls faster).  When the cleanest window falls
 short, the fit is taken again over the windows wholly above the rounding
 floor, since a window on or across it measures rounding noise.  Windows
@@ -28,9 +29,13 @@ import numpy as np
 from .problem import CacheStore, ProblemDef, get_cost, get_gradient, get_hessian
 from .exceptions import MissingDerivativeError
 
-NUM_SAMPLES = 51
+NUM_SAMPLES = 26
 T_MIN, T_MAX = 1e-8, 1.0
-WINDOW = 13
+WINDOW = 7  # samples 0.32 decades apart: a window spans two decades
+# Every other point of a 51-point grid, so each t has the bits it had when
+# the checks sampled all 51.
+SAMPLE_TS = np.logspace(np.log10(T_MIN), np.log10(T_MAX), 2 * NUM_SAMPLES - 1)[::2]
+SAMPLE_TS.flags.writeable = False
 GRADIENT_SLOPE_RANGE = (1.8, 2.2)
 EXACT_REMAINDER_SCALE = 1e-12
 ROUNDING_FLOOR_SCALE = 1e-14  # about 50 machine epsilons of the remainder's scale
@@ -129,16 +134,26 @@ def _resolve_point_direction(p: ProblemDef, x, u, rng):
     return x, u
 
 
-def _taylor_report(p: ProblemDef, x, u, remainder, scale, v) -> SlopeReport:
-    """Slope test of remainder(t, R_x(t u)) over log-spaced t, plus the
-    tangency residual of v.  The fitted slope passes from the low end of
-    the expected range up, from the second fit above the rounding floor if
-    the first falls short; exact remainders pass without the slope.  The
-    floor and the exact branch scale with max(1, scale).  Non-finite
-    remainders are counted in a flag."""
+def _ambient_norm(z) -> float:
+    """Frobenius norm of an ambient array, or over a tuple's components; a
+    component of any other form (a factored fixed-rank egrad) adds 0."""
+    if isinstance(z, np.ndarray):
+        return float(np.linalg.norm(z))
+    if isinstance(z, tuple):
+        return math.hypot(*map(_ambient_norm, z))
+    return 0.0
+
+
+def _taylor_report(p: ProblemDef, x, u, remainder, scale, v, v_scale=0.0) -> SlopeReport:
+    """Slope test of remainder(t, R_x(t u)) at the t of SAMPLE_TS, plus the
+    tangency residual of v relative to max(1, ||v||, v_scale).  The fitted
+    slope passes from the low end of the expected range up, from the second
+    fit above the rounding floor if the first falls short; exact remainders
+    pass without the slope.  The floor and the exact branch scale with
+    max(1, scale).  Non-finite remainders are counted in a flag."""
     M = p.manifold
     expected = GRADIENT_SLOPE_RANGE
-    ts = np.logspace(np.log10(T_MIN), np.log10(T_MAX), NUM_SAMPLES)
+    ts = SAMPLE_TS
     rem = np.array([remainder(t, M.retract(x, u, t)) for t in ts])
     nonfinite = int(np.count_nonzero(~np.isfinite(rem)))
     scale = max(1.0, scale)
@@ -147,7 +162,7 @@ def _taylor_report(p: ProblemDef, x, u, remainder, scale, v) -> SlopeReport:
         slope, span = fit_loglog_slope(ts, rem, floor=ROUNDING_FLOOR_SCALE * scale)
     exact = bool(np.all(rem <= EXACT_REMAINDER_SCALE * scale))
     v_proj = M.proj(x, M.tangent_to_ambient(x, v))
-    tangency = M.norm(x, M.lincomb(x, 1.0, v, -1.0, v_proj)) / max(1.0, M.norm(x, v))
+    tangency = M.norm(x, M.lincomb(x, 1.0, v, -1.0, v_proj)) / max(1.0, M.norm(x, v), v_scale)
     return SlopeReport(
         samples=list(zip(ts.tolist(), rem.tolist())),
         fitted_slope=slope,
@@ -167,6 +182,11 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     <g, u> so that the two parts never cancel: a small <g, u> then cannot
     hide a wrongly scaled gradient, and an error orthogonal to g still
     shows.  A u the caller passes is used as given.
+
+    The tangency audit takes the gradient's normal residual relative to
+    max(1, ||g||), and to ||egrad|| too when g is the projected egrad:
+    projecting a large egrad leaves a rounding residual of its size, even
+    where g itself is small (near a critical point).
     """
     if not p.has_gradient():
         raise MissingDerivativeError("check_gradient needs 'egrad' or 'rgrad'")
@@ -174,7 +194,8 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     drawn = u is None
     x, u = _resolve_point_direction(p, x, u, rng)
     f0 = get_cost(p, x)
-    g = get_gradient(p, x)
+    tok = CacheStore().token()  # keeps the egrad that g is projected from
+    g = get_gradient(p, x, None, tok)
     df = M.inner(x, g, u)
     g_norm = M.norm(x, g)
     if drawn and g_norm > 0:
@@ -182,7 +203,8 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
         u = M.lincomb(x, 1.0 / M.norm(x, u), u)
         df = M.inner(x, g, u)
     report = _taylor_report(
-        p, x, u, lambda t, y: abs(get_cost(p, y) - f0 - t * df), abs(f0), g
+        p, x, u, lambda t, y: abs(get_cost(p, y) - f0 - t * df), abs(f0), g,
+        _ambient_norm(tok.get("egrad")),
     )
     tangency = report.tangency_residual
     if tangency > TANGENCY_TOL:

@@ -87,7 +87,9 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
     Without ``conjugate`` the direction is -grad, with slope -||grad||^2 and
     no preconditioner.  With it, the gradient at the new point also gives
     beta and the next direction, and a search that fails along a conjugate
-    direction (beta > 0) is tried once more along -P grad.
+    direction (beta > 0) is tried once more along -P grad, from the
+    a-priori initial step: the failed search's guess came from the last
+    decrease, which may have been tiny.
     """
     M = p.manifold
 
@@ -115,6 +117,7 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
                 found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
                 if found is None and beta > 0:  # once more, along -P grad
                     d, beta = M.lincomb(x, -1.0, pg), 0.0
+                    prev_decrease = None  # from the a-priori step
                     found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
             if found is None:
                 return STEP_COLLAPSE

@@ -22,7 +22,7 @@ from riemopt import (
     sphere_factory,
     stiefel_factory,
 )
-from riemopt.diagnostics import SlopeReport
+from riemopt.diagnostics import NUM_SAMPLES, SAMPLE_TS, WINDOW, SlopeReport, _ambient_norm
 from riemopt.exceptions import MissingDerivativeError
 
 from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem, tree_scale
@@ -70,7 +70,7 @@ def test_fit_loglog_slope_above_a_flat_rounding_floor():
     assert fit_loglog_slope(ts, rem, floor=1.0) == fit_loglog_slope(ts, rem)
 
 
-def _fit_loglog_slope_reference(ts, remainders, window=13, floor=None):
+def _fit_loglog_slope_reference(ts, remainders, window=WINDOW, floor=None):
     """The np.polyfit loop that fit_loglog_slope replaced (first window wins
     a tie)."""
     ts = np.asarray(ts, dtype=float)
@@ -125,9 +125,9 @@ def test_fit_loglog_slope_without_a_finite_window_is_nan():
     ts = np.logspace(-8, 0, 51)
     slope, span = fit_loglog_slope(ts, np.full(51, np.nan))
     assert np.isnan(slope) and span == (ts[0], ts[-1])
-    # One bad sample in every window of 13 leaves none.
+    # One bad sample in every window of WINDOW leaves none.
     rem = ts**2
-    rem[::13] = np.nan
+    rem[::WINDOW] = np.nan
     assert np.isnan(fit_loglog_slope(ts, rem)[0])
     assert np.isnan(fit_loglog_slope(ts, rem, floor=1e-14)[0])
 
@@ -135,8 +135,8 @@ def test_fit_loglog_slope_without_a_finite_window_is_nan():
 def test_check_gradient_flags_non_finite_remainders():
     p, _ = rayleigh_problem(5, seed=0)
     f = p.cost
-    # Along the retraction x[0] = t / sqrt(1 + t^2): the cost is NaN at the
-    # two largest samples of t.
+    # Along the retraction x[0] = t / sqrt(1 + t^2): the cost is NaN from
+    # t = 1/sqrt(3) on.
     nan_far = ProblemDef(
         manifold=p.manifold,
         cost=lambda x: f(x) if x[0] < 0.5 else np.nan,
@@ -144,13 +144,29 @@ def test_check_gradient_flags_non_finite_remainders():
     )
     x, u = np.eye(5)[1], np.eye(5)[0]
     report = check_gradient(nan_far, x=x, u=u)
-    assert sum(not np.isfinite(r) for _, r in report.samples) == 2
+    far = int(np.count_nonzero(SAMPLE_TS >= 1 / np.sqrt(3)))
+    assert far >= 1
+    assert sum(not np.isfinite(r) for _, r in report.samples) == far
     assert report.verdict and report.fitted_slope == pytest.approx(2.0, abs=0.05)
-    assert report.flags == ["2 of 51 remainders are not finite"]
+    assert report.flags == [f"{far} of {NUM_SAMPLES} remainders are not finite"]
     nan_cost = ProblemDef(manifold=p.manifold, cost=lambda x: np.nan, egrad=p.egrad)
     report = check_gradient(nan_cost, x=x, u=u)
     assert not report.verdict and np.isnan(report.fitted_slope)
-    assert report.flags == ["51 of 51 remainders are not finite"]
+    assert report.flags == [f"{NUM_SAMPLES} of {NUM_SAMPLES} remainders are not finite"]
+
+
+@pytest.mark.parametrize("M", SLOPE_MANIFOLDS, ids=[M.name for M in SLOPE_MANIFOLDS])
+def test_checks_sample_every_other_point_of_the_51_point_grid(M):
+    # The same t, bit for bit, as the even-indexed samples of the 51-point
+    # grid the checks swept before.
+    grid = np.logspace(-8, 0, 51)[::2]
+    p = make_quadratic_problem(M, seed=6)
+    for check in (check_gradient, check_hessian):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the FD Hessian warns
+            ts = [t for t, _ in check(p, rng=np.random.default_rng(7)).samples]
+        assert len(ts) == NUM_SAMPLES
+        assert np.array(ts).tobytes() == grid.tobytes()
 
 
 def test_fit_loglog_slope_needs_two_samples():
@@ -195,7 +211,7 @@ def test_check_gradient_pass_rayleigh():
     assert 1.8 <= rep.fitted_slope <= 2.2
     assert rep.tangency_residual <= 1e-8
     assert "PASS" in rep.summary()
-    assert len(rep.samples) == 51
+    assert len(rep.samples) == NUM_SAMPLES
     assert rep.samples == sorted(rep.samples)
 
 
@@ -266,6 +282,61 @@ def test_check_gradient_detects_nontangent_gradient():
     assert not rep.verdict
     assert rep.tangency_residual > 1e-8
     assert any("not tangent" in f for f in rep.flags)
+
+
+def _large_rayleigh_near_the_top_eigenvector(scale):
+    # min -x'Ax on Sphere(40) with A of size `scale`, at the top
+    # eigenvector plus 1e-9 noise: g is tiny, while egrad = -2Ax is large.
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((40, 40))
+    a = scale * (a + a.T) / 2.0
+    x = np.linalg.eigh(a)[1][:, -1] + 1e-9 * rng.standard_normal(40)
+    p = ProblemDef(
+        manifold=sphere_factory(40),
+        cost=lambda x: -float(x @ a @ x),
+        egrad=lambda x: -2.0 * a @ x,
+    )
+    return p, x / np.linalg.norm(x), rng
+
+
+def test_check_gradient_tangency_is_relative_to_the_projected_egrad():
+    # Projecting egrad leaves a rounding residual of egrad's size, which is
+    # far above 1e-8 * max(1, ||g||) here.
+    p, x, rng = _large_rayleigh_near_the_top_eigenvector(1e6)
+    g = p.manifold.egrad2rgrad(x, p.egrad(x))
+    assert np.linalg.norm(g) < 1.0 < 1e6 < np.linalg.norm(p.egrad(x))
+    rep = check_gradient(p, x=x, rng=rng)
+    assert rep.verdict, rep.summary()
+    assert rep.tangency_residual <= 1e-14
+    assert not rep.flags
+
+
+def test_check_gradient_still_fails_an_rgrad_with_a_small_normal_component():
+    # An rgrad is taken as given: its normal component counts relative to
+    # max(1, ||rgrad||) alone, however large the cost's scale.
+    p, _, rng = _large_rayleigh_near_the_top_eigenvector(1e6)
+    M = p.manifold
+    x = M.rand_point(rng)
+
+    def rgrad(y):
+        g = M.egrad2rgrad(y, p.egrad(y))
+        return g + 1e-6 * np.linalg.norm(g) * y  # y is normal to the sphere at y
+
+    bad = ProblemDef(manifold=M, cost=p.cost, rgrad=rgrad)
+    assert check_gradient(p, x=x, rng=np.random.default_rng(5)).verdict
+    rep = check_gradient(bad, x=x, rng=np.random.default_rng(5))
+    assert not rep.verdict
+    assert rep.tangency_residual == pytest.approx(1e-6, rel=1e-3)
+    assert any("not tangent" in f for f in rep.flags)
+
+
+def test_ambient_norm_over_arrays_and_tuples():
+    a, b = np.arange(6.0).reshape(2, 3), np.array([3.0, 4.0])
+    assert _ambient_norm(a) == pytest.approx(np.sqrt(55.0))
+    assert _ambient_norm((a, b)) == pytest.approx(np.sqrt(80.0))
+    # A factored fixed-rank egrad (a list of pairs) adds nothing.
+    assert _ambient_norm([(a, a)]) == 0.0
+    assert _ambient_norm((b, [(a, a)])) == pytest.approx(5.0)
 
 
 def test_check_gradient_linear_cost_exact_branch():
@@ -420,7 +491,7 @@ def test_export_slope_csv_roundtrip(tmp_path):
     export_slope_csv(rep, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,remainder"
-    assert len(lines) == 52
+    assert len(lines) == NUM_SAMPLES + 1
     ts, rems = [], []
     for line in lines[1:]:
         t, r = line.split(",")

@@ -621,6 +621,31 @@ def test_cg_retries_a_failed_conjugate_direction_along_minus_grad(refused):
         assert res.stop_reason == GRADIENT_TOLERANCE
 
 
+def test_cg_retry_along_minus_grad_starts_from_the_a_priori_step():
+    # The failed conjugate search's initial step came from the last
+    # decrease, which may be tiny; the retry along -grad starts afresh from
+    # min(typical_dist / ||grad||, typical_dist).
+    p, _ = rayleigh_problem(8, seed=33)
+    M = p.manifold
+    calls = []  # (phi0, slope, t0) of each line search
+
+    def line_search(phi, phi0, slope, t0):
+        calls.append((phi0, slope, t0))
+        if len(calls) == 2:
+            return None
+        return backtracking_line_search(phi, phi0, slope, t0, opts)
+
+    opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
+    res = conjugate_gradient(p, opts=opts, rng=np.random.default_rng(34))
+    assert res.stop_reason == GRADIENT_TOLERANCE
+    (_, conj_slope, conj_t0), (_, retry_slope, retry_t0) = calls[1], calls[2]
+    decrease = res.history[0].cost - res.history[1].cost
+    assert conj_t0 == pytest.approx(2.0 * decrease / -conj_slope, rel=1e-12)
+    gnorm = res.history[1].grad_norm
+    assert retry_t0 == pytest.approx(min(M.typical_dist / gnorm, M.typical_dist), rel=1e-12)
+    assert retry_t0 != pytest.approx(2.0 * decrease / -retry_slope, rel=1e-6)
+
+
 def test_tr_rerun_after_a_rejected_step_adds_no_hess_evals():
     # The tCG products at a point live in the point's cache entry, so the
     # rerun after a rejected step reads them back: only the first tCG call
