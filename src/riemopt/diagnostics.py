@@ -71,7 +71,8 @@ class SlopeReport:
 
 def fit_loglog_slope(ts, remainders, window: int = WINDOW, floor: Optional[float] = None):
     """Least-squares log-log slope over the contiguous window (of the given
-    length) with the smallest line-fit residual.
+    length, by default ``WINDOW`` = 7 samples) with the smallest line-fit
+    residual.
 
     Returns (slope, (t_low, t_high)).  The t must be positive and distinct;
     windows run over consecutive samples in the order given.  Every window

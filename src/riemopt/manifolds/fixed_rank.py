@@ -7,8 +7,9 @@ matrix, computed through a 2k x 2k core so the m x n matrix is never formed.
 The thin QR factors of a tangent's Up and Vp do not depend on the step t,
 so each tangent computes them once and keeps them for every t it is
 retracted at (a line search, a derivative check's sweep): tangents are
-values, never written into once built.  The core's SVD calls LAPACK's
-gufunc directly, as ``qr_positive`` does for QR.
+values, never written into once built.  A core with a NaN or infinite
+entry raises LinAlgError, as ``np.linalg.svd`` does on NaN (on inf it
+returns NaN factors, or, with zeros elsewhere, never returns).
 
 Ambient vectors (Euclidean gradients) may be passed either as dense m x n
 arrays or as a list of (A, B) pairs representing sum_i A_i B_i', which keeps
@@ -22,11 +23,9 @@ Hessian approximation.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from ..exceptions import DimensionMismatchError, RankCollapseError
 from .base import ManifoldDescriptor, qr_positive
@@ -46,8 +45,9 @@ class FixedRankPoint:
 class FixedRankTangent:
     """A tangent vector, and a value: nothing may write into its arrays
     after it is built, since the first retraction along it keeps the QR
-    factors of Up and Vp for every later one.  Every operation here returns
-    a new tangent."""
+    factors of Up and Vp for every later one.  Up and Vp turn read-only
+    then, so a later write through them raises instead of leaving the
+    factors stale.  Every operation here returns a new tangent."""
 
     m: np.ndarray  # k x k
     up: np.ndarray  # m x k, U'Up = 0
@@ -56,20 +56,9 @@ class FixedRankTangent:
     @functools.cached_property  # writes the instance dict, frozen or not
     def qr_factors(self):
         """(Qu, Ru, Qv, Rv): ``qr_positive`` of Up and Vp, on first use."""
+        self.up.flags.writeable = False
+        self.vp.flags.writeable = False
         return (*qr_positive(self.up, with_r=True), *qr_positive(self.vp, with_r=True))
-
-
-def _svd(a: np.ndarray):
-    """``np.linalg.svd(a)`` of a float64 square matrix, bit for bit: the
-    gufunc it calls, without its wrapper.  A NaN or infinite entry raises
-    LinAlgError with no warning, as ``np.linalg.svd`` does on NaN (on inf
-    it returns NaN, or, with zeros elsewhere, never returns).  A finite
-    matrix whose squares overflow goes to ``np.linalg.svd`` itself."""
-    if math.isfinite(np.vdot(a, a)):
-        return _umath_linalg.svd_f(a)
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return np.linalg.svd(a)
 
 
 def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
@@ -111,7 +100,9 @@ def fixed_rank_factory(m: int, n: int, k: int) -> ManifoldDescriptor:
         core[:k, :k] = x.s + t * u.m
         core[:k, k:] = t * rv.T
         core[k:, :k] = t * ru
-        us, sv, vts = _svd(core)
+        if not np.isfinite(core).all():  # LAPACK's SVD may never return on inf
+            raise np.linalg.LinAlgError("SVD did not converge")
+        us, sv, vts = np.linalg.svd(core)
         if sv[k - 1] < 1e-14:
             raise RankCollapseError(
                 f"fixed-rank retract: singular value {k} fell to {sv[k - 1]:.3e}"

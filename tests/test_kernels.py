@@ -36,7 +36,7 @@ from riemopt.manifolds.base import (
     trace_inner,
     zero_step,
 )
-from riemopt.manifolds.fixed_rank import FixedRankPoint, FixedRankTangent, _svd
+from riemopt.manifolds.fixed_rank import FixedRankPoint, FixedRankTangent
 from riemopt.manifolds.spheres import _normalize_axis
 from riemopt.maxcut import Graph, build_problem, laplacian, round_cut
 from riemopt.solvers.trust_regions import (
@@ -664,56 +664,39 @@ def test_fixed_rank_retract_matches_the_reference_bit_for_bit(m, n, k):
     assert collapses >= 4  # at least the -S tangent at t = 1, at each point
 
 
-def _svd_inputs(rng):
-    # Cores of 2k x 2k, as the fixed-rank retraction builds them.
-    for k in (1, 2, 3, 4):
-        for _ in range(5):
-            yield rng.standard_normal((2 * k, 2 * k))
-        a = rng.standard_normal((2 * k, 2 * k))
-        a[:, k:] = 0.0  # a zero Up and Vp block: rank k
-        yield a
-        b = rng.standard_normal((2 * k, 1))
-        yield b @ rng.standard_normal((1, 2 * k))  # rank one
-        yield np.zeros((2 * k, 2 * k))
-    yield np.full((4, 4), 1e200)  # squares overflow: numpy's own svd
-
-
-def test_svd_matches_np_linalg_svd_bit_for_bit():
-    rng = np.random.default_rng(14)
-    for a in _svd_inputs(rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _svd(a)
-        assert all(_same_bits(g, e) for g, e in zip(got, np.linalg.svd(a)))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_svd_of_a_non_finite_matrix_raises_without_a_warning(bad, sparse):
-    # np.linalg.svd raises this on NaN; on inf it returns NaN, or, with
-    # zeros elsewhere, never returns, so it is not called here.
-    a = np.zeros((4, 4)) if sparse else np.random.default_rng(15).standard_normal((4, 4))
-    a[1, 2] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            _svd(a)
-        if bad != bad:
-            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-                np.linalg.svd(a)
-
-
-def test_fixed_rank_retract_along_an_infinite_tangent_raises():
-    # The core is then S + t M with an infinite entry and zeros elsewhere,
-    # on which LAPACK's SVD does not return.
+def test_fixed_rank_retract_along_a_non_finite_tangent_raises(bad, sparse):
+    # np.linalg.svd raises this on NaN; on inf it returns NaN factors, or,
+    # when the core is S + t M with zeros elsewhere (Up = Vp = 0), never
+    # returns.
     M = fixed_rank_factory(8, 6, 2)
     rng = np.random.default_rng(18)
     x = M.rand_point(rng)
-    m = M.rand_tangent(x, rng).m.copy()
-    m[0, 0] = np.inf
-    u = FixedRankTangent(m=m, up=np.zeros((8, 2)), vp=np.zeros((6, 2)))
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        M.retract(x, u, 1.0)
+    u = M.rand_tangent(x, rng)
+    m = u.m.copy()
+    m[0, 0] = bad
+    if sparse:
+        u = FixedRankTangent(m=m, up=np.zeros((8, 2)), vp=np.zeros((6, 2)))
+    else:
+        u = FixedRankTangent(m=m, up=u.up, vp=u.vp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            M.retract(x, u, 1.0)
+
+
+def test_fixed_rank_tangent_is_read_only_once_factored():
+    # Its QR factors are kept, so a write into Up or Vp would leave them stale.
+    M = fixed_rank_factory(8, 6, 2)
+    rng = np.random.default_rng(20)
+    x = M.rand_point(rng)
+    u = M.rand_tangent(x, rng)
+    u.up[0, 0] += 0.0  # writable until the first retraction
+    M.retract(x, u, 0.5)
+    for block in (u.up, u.vp):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
 
 
 def test_fixed_rank_tangent_factors_once_for_every_t(monkeypatch):
