@@ -139,10 +139,13 @@ class ProblemDef:
         return self.hessian_source in ("rhess", "ehess")
 
 
-def _call(p: ProblemDef, which: str, fn: Callable, args, user_cache: dict):
+def _user_callable(p: ProblemDef, which: str, user_cache: dict) -> Callable:
+    """The user callable ``which``, with the scratch dict bound as its last
+    argument when it takes one."""
+    fn = getattr(p, which)
     if p._wants_cache[which]:
-        return fn(*args, user_cache)
-    return fn(*args)
+        return lambda *args: fn(*args, user_cache)
+    return fn
 
 
 def _entry(token: Optional[dict]) -> dict:
@@ -156,7 +159,7 @@ def get_cost(
     entry = _entry(token)
     if "cost" in entry:
         return entry["cost"]
-    value = float(_call(p, "cost", p.cost, (x,), entry["user"]))
+    value = float(_user_callable(p, "cost", entry["user"])(x))
     if store is not None:
         store.cost_evals += 1
     entry["cost"] = value
@@ -166,7 +169,7 @@ def get_cost(
 def _euclidean_gradient(p: ProblemDef, x: Point, entry: dict):
     """User egrad at x, kept in the point's cache entry."""
     if "egrad" not in entry:
-        entry["egrad"] = _call(p, "egrad", p.egrad, (x,), entry["user"])
+        entry["egrad"] = _user_callable(p, "egrad", entry["user"])(x)
     return entry["egrad"]
 
 
@@ -186,7 +189,7 @@ def get_gradient(
     if "grad" in entry:
         return entry["grad"]
     if p.gradient_source == "rgrad":
-        g = _call(p, "rgrad", p.rgrad, (x,), entry["user"])
+        g = _user_callable(p, "rgrad", entry["user"])(x)
     elif p.gradient_source == "egrad":
         g = p.manifold.egrad2rgrad(x, _euclidean_gradient(p, x, entry))
     else:
@@ -222,21 +225,31 @@ def hessian_at(
             "problem supplies no Hessian and no gradient to approximate one"
         )
     entry = _entry(token)
-    user = entry["user"]
     if route == "ehess":
         convert = _hessian_conversion(p, x, entry)
-    elif route == "fd-fallback" and store is not None and not store._fd_fallback_logged:
-        store._fd_fallback_logged = True
-        logger.info("using the FD Hessian approximation: %s", p._fd_reason)
+        ehess = _user_callable(p, "ehess", entry["user"])
+
+        def apply(u):
+            return convert(ehess(x, u), u)
+    elif route == "rhess":
+        rhess = _user_callable(p, "rhess", entry["user"])
+
+        def apply(u):
+            return rhess(x, u)
+    else:
+        if store is not None and not store._fd_fallback_logged:
+            store._fd_fallback_logged = True
+            logger.info("using the FD Hessian approximation: %s", p._fd_reason)
+
+        def apply(u):
+            return approx_hessian_fd(p, x, u, store=store, token=token)
+
+    if store is None:
+        return apply
 
     def hess(u):
-        if store is not None:
-            store.hess_evals += 1
-        if route == "ehess":
-            return convert(_call(p, "ehess", p.ehess, (x, u), user), u)
-        if route == "rhess":
-            return _call(p, "rhess", p.rhess, (x, u), user)
-        return approx_hessian_fd(p, x, u, store=store, token=token)
+        store.hess_evals += 1
+        return apply(u)
 
     return hess
 

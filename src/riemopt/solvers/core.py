@@ -29,9 +29,13 @@ class SolverOptions:
     does not use (an unknown field name raises TypeError).
 
     Line-search fields apply to steepest descent and conjugate gradients;
-    the ``delta_*`` / ``tcg_*`` fields to the trust-region method.  A
+    the ``delta_*`` / ``tcg_*`` fields to the trust-region method.  The
+    default Armijo backtracking moves each rejected trial t to the
+    minimizer of a fitted quadratic, kept within [0.1 t, ``ls_contraction``
+    t]: ``ls_contraction`` is the largest factor one backtrack keeps, and
+    the only one when the fit fails or when it is below 0.1.  A
     ``line_search`` callable with signature ``(phi, phi0, slope, t0) ->
-    (t, phi_t) or None`` replaces the default Armijo backtracking.  The
+    (t, phi_t) or None`` replaces the default backtracking.  The
     ``clock`` is injectable so runs can produce deterministic timings.
     ``tol_grad_norm`` and, when given, ``delta_bar`` and ``delta0`` must be
     positive and finite, and ``max_inner`` at least 1.  ``ls_contraction``
@@ -222,16 +226,29 @@ def history_to_csv(history: List[IterationRecord], path) -> None:
 
 
 def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
-    """Armijo backtracking: shrink t by ``ls_contraction`` until sufficient
-    decrease holds.
+    """Armijo backtracking by quadratic interpolation.
 
-    Returns (t, phi(t)) or None when ls_max_backtracks contractions all fail.
+    Tries t0 first.  After a rejected trial t with a finite phi(t), the
+    next trial is the minimizer of the quadratic that matches phi0, the
+    slope and phi(t) (Nocedal & Wright, Numerical Optimization, 3.5),
+    safeguarded to lie in [0.1 t, ``ls_contraction`` t]; the contraction
+    wins when it is below 0.1.  A NaN or infinite phi(t), or a quadratic
+    without positive curvature, shrinks t by ``ls_contraction`` alone.
+
+    Returns (t, phi(t)) for the first trial with sufficient decrease, or
+    None when the first trial and ls_max_backtracks backtracks all fail.
     """
     c1 = opts.ls_sufficient_decrease
+    contraction = opts.ls_contraction
     t = t0
     for _ in range(opts.ls_max_backtracks + 1):
         f_new = phi(t)
         if f_new <= phi0 + c1 * t * slope:
             return t, f_new
-        t *= opts.ls_contraction
+        curvature = f_new - phi0 - slope * t
+        if math.isfinite(f_new) and curvature > 0:
+            t_min = -slope * t * t / (2.0 * curvature)
+            t = min(contraction * t, max(0.1 * t, t_min))
+        else:
+            t *= contraction
     return None

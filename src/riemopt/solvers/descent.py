@@ -4,7 +4,11 @@ Both take one line-search step rule; steepest descent is that rule with
 the direction reset to -grad at every point.  The step comes from Armijo
 backtracking (or a user-supplied line search) with an adaptive initial
 step: twice the previous cost decrease divided by the directional
-derivative, which keeps the expected number of backtracks around one.
+derivative.  On a quadratic that step is the minimizer along the ray when
+the cost falls as much as it did at the last step; near a minimizer the
+decrease shrinks from step to step, so the step overshoots, and each
+backtrack moves to the minimizer of the quadratic fitted along the ray
+rather than shrinking by a fixed factor (see ``backtracking_line_search``).
 """
 
 from __future__ import annotations

@@ -117,6 +117,7 @@ def tcg_subsolver(
     e_pd = 0.0
     d_pd = r_z
     norm_r0 = math.sqrt(max(r_r, 0.0))
+    target = norm_r0 * min(norm_r0**theta, kappa)
     delta2 = delta * delta
 
     inner_iters = 0
@@ -147,7 +148,7 @@ def tcg_subsolver(
         eta, h_eta, r = step(eta, h_eta, r, alpha, d, h_d)
         r_r = float(inner(r, r))
         norm_r = math.sqrt(max(r_r, 0.0))
-        if norm_r <= norm_r0 * min(norm_r0**theta, kappa):
+        if norm_r <= target:
             stop = TCG_RESIDUAL
             break
         if precond is None:

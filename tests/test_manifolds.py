@@ -36,6 +36,7 @@ from _helpers import (
     make_quadratic_problem,
     manifold_matrix,
     tree_inner,
+    tree_scale,
     tree_sub,
 )
 
@@ -441,6 +442,60 @@ def test_metric_positive_definite(M):
     assert M.inner(x, u, u) > 0
     zero = M.zero_tangent(x)
     assert M.inner(x, zero, zero) == 0.0
+
+
+# --- properties at hypothesis-drawn points, over the whole matrix -----------
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def _dense_norm(x, v):
+    dv = dense_tangent(x, v)
+    return math.sqrt(tree_inner(dv, dv))
+
+
+def _off_tangent(M, x, v):
+    """||proj_x(v) - v|| in the ambient norm: 0 exactly when v is tangent at x."""
+    dv = dense_tangent(x, v)
+    d = tree_sub(dense_tangent(x, M.proj(x, dv)), dv)
+    return math.sqrt(tree_inner(d, d))
+
+
+def _draw_tangent(M, x, rng, log_scale):
+    """A tangent at x: the projection of an ambient draw scaled by 10**log_scale."""
+    return M.proj(x, tree_scale(M.rand_ambient(x, rng), 10.0**log_scale))
+
+
+@pytest.mark.parametrize("M", MATRIX, ids=IDS)
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_projection_is_idempotent_at_any_point(M, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    x = M.rand_point(rng)
+    v = _draw_tangent(M, x, rng, log_scale)
+    assert _off_tangent(M, x, v) <= 1e-12 * _dense_norm(x, v)
+
+
+@pytest.mark.parametrize("M", MATRIX, ids=IDS)
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), log_scales=st.tuples(
+    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)))
+def test_inner_is_symmetric_at_any_point(M, seed, log_scales):
+    rng = np.random.default_rng(seed)
+    x = M.rand_point(rng)
+    u, v = (_draw_tangent(M, x, rng, s) for s in log_scales)
+    uv, vu = M.inner(x, u, v), M.inner(x, v, u)
+    assert abs(uv - vu) <= 1e-12 * _dense_norm(x, u) * _dense_norm(x, v)
+
+
+@pytest.mark.parametrize("M", MATRIX, ids=IDS)
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+def test_transport_lands_in_the_tangent_space(M, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    x, y = M.rand_point(rng), M.rand_point(rng)
+    w = M.transport(x, y, _draw_tangent(M, x, rng, log_scale))
+    assert _off_tangent(M, y, w) <= 1e-12 * _dense_norm(y, w)
 
 
 EXACT_HESSIAN = [M for M in MATRIX if M.ehess2rhess is not None and M.dim > 0]

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemopt import (
     ProblemDef,
@@ -199,18 +201,93 @@ def test_options_accept_the_smallest_valid_values():
     for solver in (steepest_descent, conjugate_gradient):
         res = solver(make_quadratic_problem(sphere_factory(5)), opts=opts)
         assert res.stop_reason == "gradient_tolerance"
-    # No backtrack: the line search tries the initial step once and gives
-    # up if it fails.
-    opts = SolverOptions(ls_max_backtracks=0)
-    assert backtracking_line_search(lambda t: 1.0 - t, 1.0, -1.0, 0.5, opts) == (0.5, 0.5)
+
+
+# --- Armijo line search ------------------------------------------------------
+
+
+def _logged(phi):
+    """phi, recording each trial t."""
     trials = []
 
-    def rising(t):
+    def logged(t):
         trials.append(t)
-        return 1.0 + t
+        return phi(t)
 
-    assert backtracking_line_search(rising, 1.0, -1.0, 0.5, opts) is None
-    assert trials == [0.5]
+    return logged, trials
+
+
+def _parabola(f0, slope, curvature):
+    return lambda t: f0 + slope * t + 0.5 * curvature * t * t
+
+
+def test_line_search_backtracks_to_the_minimizer_of_a_quadratic():
+    # t0 fails Armijo; the quadratic through phi(0), phi'(0) and phi(t0) is
+    # phi itself, so the second trial is its minimizer, which is accepted.
+    f0, slope, curvature, t0 = 3.7, -2.3, 5.9, 1.3
+    phi, trials = _logged(_parabola(f0, slope, curvature))
+    t, f_t = backtracking_line_search(phi, f0, slope, t0, SolverOptions())
+    assert len(trials) == 2 and trials[0] == t0
+    assert t == trials[1] == pytest.approx(-slope / curvature, rel=1e-12)
+    assert f_t == phi(t)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("contraction", [0.5, 0.3])
+def test_line_search_contracts_past_a_nonfinite_trial(bad, contraction):
+    f0, slope, t0 = 1.0, -1.0, 2.0
+    quadratic = _parabola(f0, slope, 1.0)
+    phi, trials = _logged(lambda t: bad if t == t0 else quadratic(t))
+    opts = SolverOptions(ls_contraction=contraction)
+    t, _ = backtracking_line_search(phi, f0, slope, t0, opts)
+    assert trials[:2] == [t0, contraction * t0] and t == trials[-1]
+
+
+def test_line_search_contraction_wins_below_one_tenth():
+    # The minimizer 0.25 t0 lies inside [0.1 t0, 0.5 t0], but a contraction
+    # below 0.1 caps every backtrack.
+    f0, slope, t0 = 1.0, -1.0, 1.0
+    phi, trials = _logged(_parabola(f0, slope, 4.0))
+    opts = SolverOptions(ls_contraction=1e-3)
+    t, _ = backtracking_line_search(phi, f0, slope, t0, opts)
+    assert trials == [t0, 1e-3 * t0] and t == 1e-3 * t0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    contraction=st.floats(0.01, 0.99),
+    slope=st.floats(-1e3, -1e-6),
+    t0=st.floats(1e-6, 1e3),
+    log_excess=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=8),
+)
+def test_line_search_backtracks_within_the_safeguards(contraction, slope, t0, log_excess):
+    # Each trial fails Armijo by 10**log_excess (a curvature from nearly 0
+    # to huge); every backtrack keeps between 0.1 and ls_contraction of t,
+    # and exactly ls_contraction of it when that is below 0.1.
+    f0 = 2.0
+    opts = SolverOptions(ls_contraction=contraction, ls_max_backtracks=len(log_excess) - 1)
+    c1 = opts.ls_sufficient_decrease
+    excess = iter(log_excess)
+    phi, trials = _logged(lambda t: f0 + c1 * t * slope + 10.0 ** next(excess))
+    assert backtracking_line_search(phi, f0, slope, t0, opts) is None
+    assert len(trials) == len(log_excess)
+    for t, t_next in zip(trials, trials[1:]):
+        if contraction < 0.1:
+            assert t_next == contraction * t
+        else:
+            assert 0.1 * t <= t_next <= contraction * t
+
+
+@pytest.mark.parametrize("phi", [lambda t: 1.0 + t, _parabola(1.0, -1.0, 4.0)],
+                         ids=["rising", "parabola"])
+def test_line_search_without_backtracks_makes_one_trial(phi):
+    # The initial step is tried once and the search gives up if it fails,
+    # even where the quadratic's minimizer (0.25 for the parabola) would pass.
+    opts = SolverOptions(ls_max_backtracks=0)
+    assert backtracking_line_search(lambda t: 1.0 - t, 1.0, -1.0, 0.5, opts) == (0.5, 0.5)
+    phi, trials = _logged(phi)
+    assert backtracking_line_search(phi, 1.0, -1.0, 1.0, opts) is None
+    assert trials == [1.0]
 
 
 # --- steepest descent --------------------------------------------------------
