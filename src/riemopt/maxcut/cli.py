@@ -116,7 +116,12 @@ def run_cli(argv=None) -> int:
 
     try:
         g = load_graph(args.graph)
-        L = laplacian(g)
+        try:
+            L = laplacian(g)
+        except MemoryError:  # a node index or header n far beyond the edges
+            raise ValueError(
+                f"the dense {g.n} x {g.n} Laplacian of this graph does not fit in memory"
+            ) from None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemopt import (
     ProblemDef,
@@ -15,6 +17,7 @@ from riemopt import (
     export_slope_csv,
     fit_loglog_slope,
     fixed_rank_factory,
+    get_hessian,
     grassmann_factory,
     oblique_factory,
     product_factory,
@@ -354,6 +357,16 @@ def test_check_gradient_requires_gradient():
         check_gradient(p)
 
 
+@pytest.mark.parametrize("M", manifold_matrix(), ids=[M.name for M in manifold_matrix()])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 2**32 - 1))
+def test_check_gradient_on_random_quadratics(M, seed, draw):
+    # Any quadratic, any draw: the exact egrad passes and egrad * 1.01 fails.
+    p = make_quadratic_problem(M, seed=seed, with_hessian=False)
+    assert check_gradient(p, rng=np.random.default_rng(draw)).verdict
+    assert not check_gradient(_one_percent_off(p), rng=np.random.default_rng(draw)).verdict
+
+
 # --- Hessian check -----------------------------------------------------------
 
 
@@ -538,3 +551,33 @@ def test_check_hessian_runs_egrad_once():
     rep = check_hessian(p, rng=np.random.default_rng(17))
     assert rep.verdict
     assert len(calls) == 1 + len(rep.samples)
+
+
+def test_check_hessian_takes_eight_products_and_audits_all_fifteen_pairs():
+    # One Hessian map per check: H u, six audit tangents and one
+    # combination for the linearity audit, so the user ehess runs 8 times.
+    M = stiefel_factory(5, 2)
+    base = make_quadratic_problem(M, seed=23)
+    calls = []
+
+    def ehess(x, u):
+        calls.append(1)
+        return base.ehess(x, u)
+
+    p = ProblemDef(manifold=M, cost=base.cost, egrad=base.egrad, ehess=ehess)
+    rep = check_hessian(p, rng=np.random.default_rng(24))
+    assert rep.verdict
+    assert len(calls) == 8
+
+    # The same draws: x, u, then the six audit tangents.
+    rng = np.random.default_rng(24)
+    x = M.rand_point(rng)
+    M.rand_tangent(x, rng)
+    vs = [M.rand_tangent(x, rng) for _ in range(6)]
+    hvs = [get_hessian(base, x, v) for v in vs]
+    pairs = [
+        (M.inner(x, hvs[i], vs[j]), M.inner(x, vs[i], hvs[j]))
+        for i in range(6) for j in range(i + 1, 6)
+    ]
+    assert len(pairs) == 15
+    assert rep.symmetry_residual == max(abs(a - b) / max(1.0, abs(a)) for a, b in pairs)

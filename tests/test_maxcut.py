@@ -1,6 +1,8 @@
 """Max-cut application: graph parsing, Laplacians, the relaxation problem,
 rounding, dual certification, rank escalation, and the CLI."""
 
+import contextlib
+import io
 import json
 import logging
 import math
@@ -769,6 +771,52 @@ def test_laplacian_rejects_weights_that_overflow_its_norm():
     assert np.isfinite(np.linalg.norm(L))
     with pytest.raises(ValueError, match=r"norm overflows \(largest weight 1e\+154\)"):
         laplacian(Graph.from_edges(3, [(1, 2, 1.0), (2, 3, 1e154), (1, 3, 1e154)]))
+
+
+@pytest.mark.parametrize(
+    "edges", ["1 2\n2 1000000000\n", "p 1000000000\n1 2\n"], ids=["node-index", "header"]
+)
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--escalate"], ["check"]])
+def test_cli_laplacian_too_large_for_memory_exits_one(tmp_path, capsys, edges, command):
+    # n = 10^9 asks for a 6.94 EiB Laplacian, which numpy refuses at once.
+    f = tmp_path / "huge-n.txt"
+    f.write_text(edges)
+    code = run_cli(command[:1] + ["--graph", str(f)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "1000000000 x 1000000000 Laplacian" in captured.err
+
+
+# The edge-list fuzz: node indices up to 64 (so a header n too), and the
+# numbers, header and comment marks that once reached the solver or broke
+# the parser.  Well-formed edge lines are drawn often enough that some
+# files load and reach the solvers and the derivative checks.
+_FUZZ_INDEX = st.integers(1, 64).map(str)
+_FUZZ_NUMBER = st.sampled_from(["1", "0.5", "-0", "1e-320", "1e308", "nan", "inf", "-inf", "-1"])
+_FUZZ_LINE = st.one_of(
+    st.tuples(_FUZZ_INDEX, _FUZZ_INDEX).map(" ".join),
+    st.tuples(_FUZZ_INDEX, _FUZZ_INDEX, _FUZZ_NUMBER).map(" ".join),
+    _FUZZ_INDEX.map("p {}".format),
+    # Anything, bad arity included.
+    st.lists(st.one_of(_FUZZ_INDEX, _FUZZ_NUMBER, st.sampled_from(["0", "p", "#", "x"])),
+             max_size=4).map(" ".join),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lines=st.lists(_FUZZ_LINE, max_size=12))
+def test_cli_fuzzed_edge_lists_exit_cleanly(tmp_path_factory, lines):
+    # Whatever the file holds, run_cli returns 0, 1 or 2 and raises nothing.
+    f = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    f.write_text("\n".join(lines) + "\n")
+    for command in (["solve"], ["solve", "--escalate"], ["check"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(command[:1] + ["--graph", str(f)] + command[1:])
+        assert code in (0, 1, 2), (command, code)
+        assert code != 1 or err.getvalue().startswith("error:") or "FAIL" in out.getvalue()
 
 
 def test_cli_json_with_a_nonfinite_value_exits_one(tmp_path, capsys, monkeypatch):
