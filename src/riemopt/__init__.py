@@ -19,12 +19,10 @@ from .manifolds import (
     stiefel_factory,
 )
 from .problem import (
-    CacheStore,
     ProblemDef,
     approx_hessian_fd,
     get_cost,
     get_gradient,
-    get_hessian,
     hessian_at,
 )
 from .solvers import (
@@ -33,7 +31,6 @@ from .solvers import (
     SolverOptions,
     conjugate_gradient,
     history_to_csv,
-    shared_stopping,
     steepest_descent,
     tcg_subsolver,
     trust_regions,
@@ -42,7 +39,6 @@ from .diagnostics import (
     SlopeReport,
     check_gradient,
     check_hessian,
-    export_slope_csv,
     fit_loglog_slope,
 )
 
@@ -61,10 +57,8 @@ __all__ = [
     "euclidean_factory",
     "product_factory",
     "ProblemDef",
-    "CacheStore",
     "get_cost",
     "get_gradient",
-    "get_hessian",
     "hessian_at",
     "approx_hessian_fd",
     "SolverOptions",
@@ -74,11 +68,9 @@ __all__ = [
     "conjugate_gradient",
     "trust_regions",
     "tcg_subsolver",
-    "shared_stopping",
     "history_to_csv",
     "SlopeReport",
     "check_gradient",
     "check_hessian",
-    "export_slope_csv",
     "fit_loglog_slope",
 ]

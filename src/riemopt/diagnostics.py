@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import CacheStore, ProblemDef, get_cost, get_gradient, hessian_at
+from .problem import Counters, ProblemDef, get_cost, get_gradient, hessian_at, new_token
 from .exceptions import MissingDerivativeError
 
 NUM_SAMPLES = 26
@@ -138,7 +138,9 @@ def _resolve_point_direction(p: ProblemDef, x, u, rng):
         x = M.rand_point(rng)
     if u is None:
         u = M.rand_tangent(x, rng)
-    return x, u
+    elif not M.norm(x, u) > 0.0:  # a zero u would pass any derivative
+        raise ValueError("the direction u must have a positive norm")
+    return x, u, rng
 
 
 def _ambient_norm(z) -> float:
@@ -188,7 +190,8 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     A drawn u is turned into u + s g/||g||, normalised, with s the sign of
     <g, u> so that the two parts never cancel: a small <g, u> then cannot
     hide a wrongly scaled gradient, and an error orthogonal to g still
-    shows.  A u the caller passes is used as given.
+    shows.  A u the caller passes is used as given; one of zero norm
+    raises ValueError, since the remainder along it vanishes whatever g is.
 
     The tangency audit takes the gradient's normal residual relative to
     max(1, ||g||), and to ||egrad|| too when g is the projected egrad:
@@ -199,9 +202,9 @@ def check_gradient(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
         raise MissingDerivativeError("check_gradient needs 'egrad' or 'rgrad'")
     M = p.manifold
     drawn = u is None
-    x, u = _resolve_point_direction(p, x, u, rng)
+    x, u, _ = _resolve_point_direction(p, x, u, rng)
     f0 = get_cost(p, x)
-    tok = CacheStore().token()  # keeps the egrad that g is projected from
+    tok = new_token()  # keeps the egrad that g is projected from
     g = get_gradient(p, x, None, tok)
     df = M.inner(x, g, u)
     g_norm = M.norm(x, g)
@@ -233,7 +236,8 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
     0.7 H v_0 - 1.3 H v_1 from the products already taken.  An exact check
     thus makes 8 Hessian-vector products: H u, six audit products and the
     combination.  x and u are drawn from rng before the audit tangents, so
-    the slope test does not depend on the audits.
+    the slope test does not depend on the audits.  A given u of zero norm
+    raises ValueError before anything is evaluated.
     """
     if not p.has_gradient():
         raise MissingDerivativeError("check_hessian needs a gradient")
@@ -244,12 +248,10 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
             stacklevel=2,
         )
     M = p.manifold
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x, u = _resolve_point_direction(p, x, u, rng)
+    x, u, rng = _resolve_point_direction(p, x, u, rng)
     # Every Hessian-vector product below is taken at x: one cache entry
     # lets them share the gradient's egrad.
-    store = CacheStore()
-    tok = store.token()
+    store, tok = Counters(), new_token()
     g = get_gradient(p, x, store, tok)
     hess = hessian_at(p, x, store, tok)
     hu = hess(u)
@@ -283,14 +285,3 @@ def check_hessian(p: ProblemDef, x=None, u=None, rng=None) -> SlopeReport:
         # be symmetric and linear (the FD approximation is exempt).
         report.verdict = report.verdict and sym <= 1e-8 and lin <= 1e-10
     return report
-
-
-def export_slope_csv(report: SlopeReport, path) -> None:
-    """Write the (t, remainder) samples with 17 significant digits."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("t,remainder\n")
-            for t, r in report.samples:
-                fh.write(f"{t:.17g},{r:.17g}\n")
-    except OSError as exc:
-        raise OSError(f"failed writing slope CSV to {path}: {exc}") from exc

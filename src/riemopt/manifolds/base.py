@@ -38,7 +38,7 @@ class ManifoldDescriptor:
             conversion at the point x, an operator ``op(ehess_u, u)`` that
             maps the Euclidean Hessian applied to u to the Riemannian one.
             The curvature term depends on x and egrad only, so it is
-            computed once per point and ``get_hessian`` caches the operator
+            computed once per point and ``hessian_at`` caches the operator
             per point like egrad.  None when the manifold has no exact
             conversion (callers fall back to finite differences).
     """
@@ -72,11 +72,13 @@ class ManifoldDescriptor:
         return math.sqrt(max(self.inner(x, u, u), 0.0))
 
     def rand_tangent(self, x: Point, rng: np.random.Generator) -> Tangent:
-        """Unit-norm tangent vector: projected Gaussian ambient sample."""
+        """Unit-norm tangent vector: a projected Gaussian ambient sample,
+        drawn again while its projection is rounding noise (as is the draw
+        that made x, on the sphere-like factories)."""
         for _ in range(5):
             v = self.proj(x, self.rand_ambient(x, rng))
             nv = self.norm(x, v)
-            if nv > 0.0:
+            if nv > 1e-8 * math.sqrt(max(self.dim, 1)):
                 return self.lincomb(x, 1.0 / nv, v)
         raise DegenerateStepError(
             f"{self.name}: random ambient samples kept projecting to zero"

@@ -2,16 +2,17 @@
 
 A :class:`ProblemDef` bundles a manifold with user callables for the cost
 and (optionally) its derivatives.  It decides once, when it is built, which
-route ``get_gradient`` and ``get_hessian`` take: Riemannian callables win
+route ``get_gradient`` and ``hessian_at`` take: Riemannian callables win
 over Euclidean ones, and Hessians fall back to a finite-difference
-approximation built from the gradient.  ``hessian_at`` resolves the route
-once per point and returns the Hessian there as a map.
+approximation built from the gradient.  ``hessian_at`` returns the Hessian
+at a point as a map.
 
 Caching is keyed by solver-held point tokens, not by hashing point
-contents: a token is the point's cache entry itself, which the solver keeps
-next to the point and drops with it.  User callables may declare an extra
-trailing parameter to receive a per-point scratch dict, which lets the cost
-and the gradient share intermediate products.
+contents: a token (``new_token``) is the point's cache entry itself, which
+the solver keeps next to the point and drops with it.  A :class:`Counters`
+record counts the evaluations of one run.  User callables may declare an
+extra trailing parameter to receive a per-point scratch dict, which lets the
+cost and the gradient share intermediate products.
 """
 
 from __future__ import annotations
@@ -43,37 +44,28 @@ def _positional_arity(fn: Callable) -> int:
     return n
 
 
-class CacheStore:
-    """Evaluation counters of one run, and the issuer of point tokens.
-
-    A token is the point's cache entry itself: :meth:`token` returns a fresh
-    one, which the solver keeps next to its point and drops with it.  An
-    entry holds the cost, the Riemannian gradient, the user's Euclidean
-    gradient and the manifold's Hessian conversion ``ehess2rhess(x,
-    egrad)`` at the point, so each runs once per point, and the trust-region
-    rule keeps the tCG's products there.  A call with ``token=None`` is
-    one-shot: it caches nothing.
+@dataclass
+class Counters:
+    """Evaluation counters of one run; its fields are ``RunResult.counters``.
 
     ``hess_evals`` counts the Hessian-vector products computed, not the
     tCG's inner steps: a trust-region rerun after a rejected step reads
     the products of the first run back and adds none.
     """
 
-    def __init__(self):
-        self.cost_evals = 0
-        self.grad_evals = 0
-        self.hess_evals = 0
-        self._fd_fallback_logged = False
+    cost_evals: int = 0
+    grad_evals: int = 0
+    hess_evals: int = 0
+    fd_fallback_logged = False  # not a field: the FD route logs why once per run
 
-    def token(self) -> dict:
-        return {"user": {}}
 
-    def counters(self) -> dict:
-        return {
-            "cost_evals": self.cost_evals,
-            "grad_evals": self.grad_evals,
-            "hess_evals": self.hess_evals,
-        }
+def new_token() -> dict:
+    """A fresh point token, an empty cache entry.  An entry keeps the cost,
+    the Riemannian gradient, the user's egrad and the Hessian conversion
+    ``ehess2rhess(x, egrad)`` at its point, so each runs once per point,
+    and the trust-region rule keeps the tCG's products there.  A call with
+    ``token=None`` is one-shot: it caches nothing."""
+    return {"user": {}}
 
 
 @dataclass(frozen=True)
@@ -149,11 +141,11 @@ def _user_callable(p: ProblemDef, which: str, user_cache: dict) -> Callable:
 
 
 def _entry(token: Optional[dict]) -> dict:
-    return token if token is not None else {"user": {}}  # throwaway: one-shot
+    return token if token is not None else new_token()  # throwaway: one-shot
 
 
 def get_cost(
-    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[dict] = None
+    p: ProblemDef, x: Point, store: Optional[Counters] = None, token: Optional[dict] = None
 ) -> float:
     """Cost at x, cached under the given point token."""
     entry = _entry(token)
@@ -182,7 +174,7 @@ def _hessian_conversion(p: ProblemDef, x: Point, entry: dict):
 
 
 def get_gradient(
-    p: ProblemDef, x: Point, store: Optional[CacheStore] = None, token: Optional[dict] = None
+    p: ProblemDef, x: Point, store: Optional[Counters] = None, token: Optional[dict] = None
 ) -> Tangent:
     """Riemannian gradient at x: rgrad, or the projected egrad."""
     entry = _entry(token)
@@ -205,7 +197,7 @@ def get_gradient(
 def hessian_at(
     p: ProblemDef,
     x: Point,
-    store: Optional[CacheStore] = None,
+    store: Optional[Counters] = None,
     token: Optional[dict] = None,
 ) -> Callable[[Tangent], Tangent]:
     """The Riemannian Hessian at x, as the map u -> Hess f(x)[u].
@@ -216,7 +208,8 @@ def hessian_at(
     cache entry next to the Euclidean gradient it is built from (with a
     token the user ``egrad`` and the conversion run once per point, without
     one once per call of this function); ``fd-fallback`` differences two
-    gradients per product and logs once per store why it took that route.
+    gradients per product and logs why it took that route once per
+    ``Counters`` record.
     Each product the map computes counts one in ``store.hess_evals``.
     """
     route = p.hessian_source
@@ -237,8 +230,8 @@ def hessian_at(
         def apply(u):
             return rhess(x, u)
     else:
-        if store is not None and not store._fd_fallback_logged:
-            store._fd_fallback_logged = True
+        if store is not None and not store.fd_fallback_logged:
+            store.fd_fallback_logged = True
             logger.info("using the FD Hessian approximation: %s", p._fd_reason)
 
         def apply(u):
@@ -254,24 +247,11 @@ def hessian_at(
     return hess
 
 
-def get_hessian(
-    p: ProblemDef,
-    x: Point,
-    u: Tangent,
-    store: Optional[CacheStore] = None,
-    token: Optional[dict] = None,
-) -> Tangent:
-    """Riemannian Hessian at x applied to u: ``hessian_at(p, x, store,
-    token)(u)``.  Without a token the user ``egrad`` and the ``ehess``
-    route's conversion thus run once per call."""
-    return hessian_at(p, x, store, token)(u)
-
-
 def approx_hessian_fd(
     p: ProblemDef,
     x: Point,
     u: Tangent,
-    store: Optional[CacheStore] = None,
+    store: Optional[Counters] = None,
     token: Optional[dict] = None,
 ) -> Tangent:
     """Finite-difference Hessian from two gradients.
@@ -291,9 +271,3 @@ def approx_hessian_fd(
     g1 = get_gradient(p, x1, store, None)
     g1_at_x = M.proj(x, M.tangent_to_ambient(x1, g1))
     return M.lincomb(x, 1.0 / t, g1_at_x, -1.0 / t, g0)
-
-
-def apply_precond(p: ProblemDef, x: Point, u: Tangent) -> Tangent:
-    if p.precond is None:
-        return u
-    return p.precond(x, u)

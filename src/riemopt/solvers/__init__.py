@@ -10,7 +10,6 @@ from .core import (
     RunResult,
     SolverOptions,
     history_to_csv,
-    shared_stopping,
 )
 from .descent import conjugate_gradient, steepest_descent
 from .trust_regions import (
@@ -26,7 +25,6 @@ __all__ = [
     "SolverOptions",
     "IterationRecord",
     "RunResult",
-    "shared_stopping",
     "history_to_csv",
     "CSV_COLUMNS",
     "steepest_descent",

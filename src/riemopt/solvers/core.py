@@ -5,12 +5,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..problem import CacheStore, get_cost, get_gradient
+from ..problem import Counters, get_cost, get_gradient, new_token
 
 logger = logging.getLogger(__name__)
 
@@ -166,14 +166,14 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
     ends the run as ``nonfinite``.
     """
     opts = opts if opts is not None else SolverOptions()
-    store = CacheStore()
+    store = Counters()
     M = p.manifold
     x = x0 if x0 is not None else M.rand_point(
         rng if rng is not None else np.random.default_rng(0)
     )
     t_start = opts.clock()
     step, (step_size, inner, delta, rho) = rule(opts, store)
-    tok, tok_read = store.token(), None
+    tok, tok_read = new_token(), None
 
     history = []
     it = 0
@@ -203,7 +203,7 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
                 break
             x, tok, step_size, inner, delta, rho = out
         it += 1
-    return RunResult(x, f, gnorm, reason, history, store.counters())
+    return RunResult(x, f, gnorm, reason, history, asdict(store))
 
 
 CSV_COLUMNS = ["iter", "cost", "gradnorm", "time", "stepsize", "inner", "Delta", "rho"]

@@ -18,7 +18,7 @@ import math
 from typing import Optional
 
 from ..exceptions import DegenerateStepError, RankCollapseError
-from ..problem import ProblemDef, apply_precond, get_cost, get_gradient
+from ..problem import ProblemDef, get_cost, get_gradient, new_token
 from .core import (
     STEP_COLLAPSE,
     RunResult,
@@ -39,7 +39,7 @@ def _make_ray(p, M, x, d, store):
     def phi(t):
         try:
             y = M.retract(x, d, t)
-            tok = store.token()
+            tok = new_token()
             f = get_cost(p, y, store, tok)
         except (DegenerateStepError, RankCollapseError):
             return math.inf
@@ -49,7 +49,7 @@ def _make_ray(p, M, x, d, store):
     def point(t):
         if t in trials:
             return trials[t]
-        return M.retract(x, d, t), store.token()
+        return M.retract(x, d, t), new_token()
 
     return phi, point
 
@@ -115,7 +115,7 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
                 d = M.lincomb(x, -1.0, g)
                 found = search(x, f, d, -(gnorm**2), gnorm)
             else:
-                pg = apply_precond(p, x, g)
+                pg = g if p.precond is None else p.precond(x, g)
                 if d is None or M.inner(x, d, g) >= 0:
                     d, beta = M.lincomb(x, -1.0, pg), 0.0
                 found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
@@ -129,7 +129,7 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
             prev_decrease = f - f_new
             if conjugate:
                 g_new = get_gradient(p, x_new, store, tok_new)
-                pg_new = apply_precond(p, x_new, g_new)
+                pg_new = g_new if p.precond is None else p.precond(x_new, g_new)
                 pg_moved = M.transport(x, x_new, pg)
                 d_moved = M.transport(x, x_new, d)
                 denom = M.inner(x, g, pg)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..exceptions import DegenerateStepError, RankCollapseError
 from ..manifolds.base import array_lincomb, check_shape, trace_inner
-from ..problem import ProblemDef, get_cost, hessian_at
+from ..problem import ProblemDef, get_cost, hessian_at, new_token
 from .core import NONFINITE, RunResult, SolverOptions, iterate
 
 # tCG stop flags
@@ -216,7 +216,7 @@ def trust_regions(
                 return NONFINITE
             try:
                 x_prop = M.retract(x, eta, 1.0)
-                tok_prop = store.token()
+                tok_prop = new_token()
                 f_prop = get_cost(p, x_prop, store, tok_prop)
             except (DegenerateStepError, RankCollapseError):
                 # Step left the representable set; shrink and retry.

@@ -1,5 +1,5 @@
 """Derivative checks: slope estimator sanity, pass on correct derivatives,
-fail on injected errors, and CSV export."""
+and fail on injected errors."""
 
 import warnings
 
@@ -14,18 +14,17 @@ from riemopt import (
     check_hessian,
     elliptope_factory,
     euclidean_factory,
-    export_slope_csv,
     fit_loglog_slope,
     fixed_rank_factory,
-    get_hessian,
     grassmann_factory,
+    hessian_at,
     oblique_factory,
     product_factory,
     rotations_factory,
     sphere_factory,
     stiefel_factory,
 )
-from riemopt.diagnostics import NUM_SAMPLES, SAMPLE_TS, WINDOW, SlopeReport, _ambient_norm
+from riemopt.diagnostics import NUM_SAMPLES, SAMPLE_TS, WINDOW, _ambient_norm
 from riemopt.exceptions import MissingDerivativeError
 
 from _helpers import make_quadratic_problem, manifold_matrix, rayleigh_problem, tree_scale
@@ -351,6 +350,52 @@ def test_check_gradient_linear_cost_exact_branch():
     assert rep.exact_branch
 
 
+def _sphere_quadratic(egrad_scale=1.0):
+    """x'Ax on Sphere(5), A = diag(1..5), with the egrad scaled and every
+    user call counted."""
+    M = sphere_factory(5)
+    a = np.diag(np.arange(1.0, 6.0))
+    calls = []
+
+    def cost(x):
+        calls.append("cost")
+        return float(x @ a @ x)
+
+    def egrad(x):
+        calls.append("egrad")
+        return egrad_scale * 2.0 * a @ x
+
+    def ehess(x, u):
+        calls.append("ehess")
+        return 2.0 * a @ u
+
+    return ProblemDef(manifold=M, cost=cost, egrad=egrad, ehess=ehess), calls
+
+
+@pytest.mark.parametrize("check", [check_gradient, check_hessian])
+def test_checks_refuse_a_zero_direction(check):
+    # Along u = 0 every remainder vanishes, so a 1.5x egrad would pass
+    # through the exact-remainder branch.
+    p, calls = _sphere_quadratic(egrad_scale=1.5)
+    x = p.manifold.rand_point(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="positive norm"):
+        check(p, x=x, u=np.zeros(5))
+    assert calls == []
+
+
+def test_check_hessian_at_the_default_draw_of_a_given_point():
+    # Without rng the audit tangents come from default_rng(0), whose first
+    # sample is the one that made x: its projection is rounding noise and
+    # must not become an audit tangent.
+    p, _ = _sphere_quadratic()
+    M = p.manifold
+    x = M.rand_point(np.random.default_rng(0))
+    u = M.rand_tangent(x, np.random.default_rng(1))
+    rep = check_hessian(p, x=x, u=u)
+    assert rep.verdict, rep.summary()
+    assert rep.symmetry_residual <= 1e-8
+
+
 def test_check_gradient_requires_gradient():
     p = ProblemDef(manifold=sphere_factory(3), cost=lambda x: 0.0)
     with pytest.raises(MissingDerivativeError):
@@ -494,47 +539,6 @@ def test_check_hessian_fd_path_warns():
         check_hessian(p, rng=np.random.default_rng(15))
 
 
-# --- CSV export --------------------------------------------------------------
-
-
-def test_export_slope_csv_roundtrip(tmp_path):
-    p, _ = rayleigh_problem(5, seed=16)
-    rep = check_gradient(p, rng=np.random.default_rng(17))
-    path = tmp_path / "slope.csv"
-    export_slope_csv(rep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,remainder"
-    assert len(lines) == NUM_SAMPLES + 1
-    ts, rems = [], []
-    for line in lines[1:]:
-        t, r = line.split(",")
-        ts.append(float(t))
-        rems.append(float(r))
-    slope, _ = fit_loglog_slope(ts, rems)
-    assert slope == pytest.approx(rep.fitted_slope, abs=1e-12)
-
-
-def test_export_slope_csv_empty_report(tmp_path):
-    rep = SlopeReport(
-        samples=[],
-        fitted_slope=0.0,
-        window=(0.0, 0.0),
-        tangency_residual=0.0,
-        verdict=False,
-        expected_slope_range=(1.8, 2.2),
-    )
-    path = tmp_path / "empty.csv"
-    export_slope_csv(rep, path)
-    assert path.read_text() == "t,remainder\n"
-
-
-def test_export_slope_csv_bad_path():
-    p, _ = rayleigh_problem(4, seed=18)
-    rep = check_gradient(p, rng=np.random.default_rng(19))
-    with pytest.raises(OSError, match="no/such/dir"):
-        export_slope_csv(rep, "/no/such/dir/slope.csv")
-
-
 def test_check_hessian_runs_egrad_once():
     # Every Hessian-vector product is taken at the same point, so the
     # user's egrad there runs once and is shared through one cache entry;
@@ -574,7 +578,8 @@ def test_check_hessian_takes_eight_products_and_audits_all_fifteen_pairs():
     x = M.rand_point(rng)
     M.rand_tangent(x, rng)
     vs = [M.rand_tangent(x, rng) for _ in range(6)]
-    hvs = [get_hessian(base, x, v) for v in vs]
+    hess = hessian_at(base, x)
+    hvs = [hess(v) for v in vs]
     pairs = [
         (M.inner(x, hvs[i], vs[j]), M.inner(x, vs[i], hvs[j]))
         for i in range(6) for j in range(i + 1, 6)

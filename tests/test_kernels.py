@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riemopt import (
-    CacheStore,
     ProblemDef,
     SolverOptions,
     elliptope_factory,
     euclidean_factory,
     fixed_rank_factory,
     get_gradient,
-    get_hessian,
+    hessian_at,
     oblique_factory,
     product_factory,
     rotations_factory,
@@ -29,6 +28,7 @@ from riemopt import (
     trust_regions,
 )
 from riemopt.exceptions import DegenerateStepError, DimensionMismatchError, RankCollapseError
+from riemopt.problem import Counters, new_token
 from riemopt.manifolds.base import (
     array_lincomb,
     check_shape,
@@ -154,14 +154,14 @@ def _counting_sphere_problem():
 def _hessians(with_token):
     p, calls = _counting_sphere_problem()
     rng = np.random.default_rng(4)
-    store = CacheStore()
+    store = Counters()
     values = []
     for _ in range(3):  # three points, five directions each
         x = p.manifold.rand_point(rng)
-        tok = store.token() if with_token else None  # None: one-shot calls
+        tok = new_token() if with_token else None  # None: one-shot calls
         get_gradient(p, x, store, tok)
         for _ in range(5):
-            values.append(get_hessian(p, x, p.manifold.rand_tangent(x, rng), store, tok))
+            values.append(hessian_at(p, x, store, tok)(p.manifold.rand_tangent(x, rng)))
     return values, calls
 
 
@@ -183,11 +183,11 @@ def test_hessian_values_do_not_depend_on_caching():
 
 def test_hessian_first_then_gradient_shares_egrad():
     p, calls = _counting_sphere_problem()
-    store = CacheStore()
+    store = Counters()
     x = p.manifold.rand_point(np.random.default_rng(5))
-    tok = store.token()
+    tok = new_token()
     u = p.manifold.rand_tangent(x, np.random.default_rng(6))
-    get_hessian(p, x, u, store, tok)
+    hessian_at(p, x, store, tok)(u)
     g = get_gradient(p, x, store, tok)
     assert calls["egrad"] == 1
     assert np.array_equal(g, p.manifold.egrad2rgrad(x, p.egrad(x)))
@@ -359,7 +359,7 @@ def test_tcg_reads_stored_products_back_bit_for_bit():
         products = []
         tcg_subsolver(p, x, g, 1e6, products=products)
         for delta in (1e3, 0.3, 1e-3):
-            store = CacheStore()
+            store = Counters()
             eta, h_eta, stop, inner = tcg_subsolver(p, x, g, delta, store=store,
                                                     products=products)
             eta_0, h_eta_0, stop_0, inner_0 = tcg_subsolver(p, x, g, delta)
@@ -422,7 +422,7 @@ def _loops_agree(p, x, g, delta, products_pair):
     """One tCG call on each algebra; both must agree bit for bit."""
     out = []
     for q, products in zip((p, _generic(p)), products_pair):
-        store = CacheStore()
+        store = Counters()
         eta, h_eta, stop, inner = tcg_subsolver(q, x, g, delta, store=store, products=products)
         out.append((eta, h_eta, stop, inner, store.hess_evals))
     (eta, h_eta, *rest), (eta_g, h_eta_g, *rest_g) = out
@@ -490,8 +490,8 @@ def test_tcg_array_loop_with_a_hessian_that_returns_its_input(precond):
     elif precond == "diagonal":
         p = dataclasses.replace(p, precond=_diagonal_precond(M, 7))
     x = M.rand_point(np.random.default_rng(8))
-    store = CacheStore()
-    tok = store.token()
+    store = Counters()
+    tok = new_token()
     g = get_gradient(p, x, store, tok)
     g_before = g.copy()
     steps = []
@@ -550,7 +550,7 @@ def test_tcg_step_stays_in_the_region_and_decreases_the_model(M, seed, log_delta
     eta, h_eta, _, _ = tcg_subsolver(p, x, g, delta, SolverOptions(max_inner=max_inner))
     assert M.norm(x, eta) <= delta * (1.0 + 1e-12)
     assert M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta) <= 0.0
-    h_eta_exact = get_hessian(p, x, eta)
+    h_eta_exact = hessian_at(p, x)(eta)
     scale = max(1.0, M.norm(x, h_eta_exact))
     assert M.norm(x, M.lincomb(x, 1.0, h_eta, -1.0, h_eta_exact)) <= 1e-12 * scale
 

@@ -15,8 +15,8 @@ from riemopt import (
     euclidean_factory,
     fixed_rank_factory,
     get_gradient,
-    get_hessian,
     grassmann_factory,
+    hessian_at,
     oblique_factory,
     product_factory,
     rotations_factory,
@@ -144,7 +144,7 @@ def test_hessian_conversion_checks_the_egrad_shape(M, wrong):
     x = M.rand_point(np.random.default_rng(0))
     u = M.rand_tangent(x, np.random.default_rng(1))
     with pytest.raises(DimensionMismatchError, match="ehess2rhess: egrad"):
-        get_hessian(p, x, u)
+        hessian_at(p, x)(u)
     with pytest.raises(DimensionMismatchError, match="ehess2rhess: egrad"):
         M.ehess2rhess(x, np.ones(wrong))
     # A wrong-shaped ehess output fails in the conversion's projection.
@@ -308,6 +308,20 @@ def test_point_membership_and_determinism(M):
         d = tree_sub(dense_tangent(x1, v1), dense_tangent(x1, v2))
         assert tree_inner(d, d) == 0.0
         assert M.norm(x1, v1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("M", MATRIX, ids=IDS)
+def test_rand_tangent_from_the_draw_that_made_x(M):
+    # On the sphere-like factories the generator's first sample, drawn
+    # again, projects to rounding noise at the x it made: that sample must
+    # be redrawn, not normalised into a non-tangent unit vector.
+    x = M.rand_point(np.random.default_rng(0))
+    if M.dim == 0:
+        return
+    v = M.rand_tangent(x, np.random.default_rng(0))
+    normal = M.lincomb(x, 1.0, v, -1.0, M.proj(x, M.tangent_to_ambient(x, v)))
+    assert M.norm(x, normal) <= 1e-12
+    assert M.norm(x, v) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("M", MATRIX, ids=IDS)
@@ -514,7 +528,7 @@ def test_hessian_conversion_against_finite_differences(M):
     x = M.rand_point(rng)
     u = M.rand_tangent(x, rng)
     g = get_gradient(p, x)
-    hu = get_hessian(p, x, u)
+    hu = hessian_at(p, x)(u)
     hval = M.inner(x, u, hu)
 
     h = 1e-4
@@ -543,7 +557,7 @@ def test_hessian_against_gradient_field_derivative(M):
     rng = np.random.default_rng(12)
     x = M.rand_point(rng)
     u = M.rand_tangent(x, rng)
-    hu = get_hessian(p, x, u)
+    hu = hessian_at(p, x)(u)
 
     h = 1e-6
     xp, xm = M.retract(x, u, h), M.retract(x, u, -h)
@@ -568,8 +582,8 @@ def test_hessian_symmetry(M):
     x = M.rand_point(rng)
     u = M.rand_tangent(x, rng)
     v = M.rand_tangent(x, rng)
-    hu = get_hessian(p, x, u)
-    hv = get_hessian(p, x, v)
+    hess = hessian_at(p, x)
+    hu, hv = hess(u), hess(v)
     a = M.inner(x, hu, v)
     b = M.inner(x, u, hv)
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))

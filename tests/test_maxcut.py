@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemopt import CacheStore, SolverOptions, check_gradient, check_hessian, get_cost, get_gradient
+from riemopt import SolverOptions, check_gradient, check_hessian, get_cost, get_gradient
 from riemopt.maxcut import (
     CutResult,
     Graph,
@@ -30,6 +30,7 @@ from riemopt.maxcut import (
 )
 from riemopt.maxcut import solve as maxcut_solve
 from riemopt.maxcut.solve import next_rank
+from riemopt.problem import Counters, new_token
 from riemopt.solvers import RunResult
 
 from _helpers import CountingMatrix
@@ -187,8 +188,8 @@ def test_build_problem_formulas():
     y = p.manifold.rand_point(rng)
     u = p.manifold.rand_tangent(y, rng)
     assert get_cost(p, y) == pytest.approx(-float(np.trace(y.T @ L @ y)) / 4.0)
-    store = CacheStore()
-    tok = store.token()
+    store = Counters()
+    tok = new_token()
     eg = -L @ y / 2.0
     np.testing.assert_allclose(
         get_gradient(p, y, store, tok), p.manifold.egrad2rgrad(y, eg), atol=1e-14
@@ -201,9 +202,9 @@ def test_build_problem_shares_one_multiply():
     L = laplacian(k5()).view(CountingMatrix)
     CountingMatrix.products = 0
     p = build_problem(L, 3)
-    store = CacheStore()
+    store = Counters()
     y = p.manifold.rand_point(np.random.default_rng(3))
-    tok = store.token()
+    tok = new_token()
     get_cost(p, y, store, tok)
     get_gradient(p, y, store, tok)
     assert CountingMatrix.products == 1  # LY computed once, shared via the scratch dict

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from riemopt import (
-    CacheStore,
     ProblemDef,
     approx_hessian_fd,
     euclidean_factory,
     fixed_rank_factory,
     get_cost,
     get_gradient,
-    get_hessian,
+    hessian_at,
     sphere_factory,
 )
 from riemopt.exceptions import MissingDerivativeError
+from riemopt.problem import Counters, new_token
 
 
 def _counting_problem(n=4):
@@ -46,9 +46,9 @@ def _counting_problem(n=4):
 
 def test_cache_hit_skips_reevaluation():
     p, calls, _ = _counting_problem()
-    store = CacheStore()
+    store = Counters()
     x = np.ones(4)
-    tok = store.token()
+    tok = new_token()
     v1 = get_cost(p, x, store, tok)
     v2 = get_cost(p, x, store, tok)
     assert v1 == v2
@@ -58,9 +58,9 @@ def test_cache_hit_skips_reevaluation():
 
 def test_counter_law_distinct_points():
     p, calls, _ = _counting_problem()
-    store = CacheStore()
+    store = Counters()
     for k in range(5):
-        tok = store.token()
+        tok = new_token()
         x = np.full(4, float(k))
         get_cost(p, x, store, tok)
         get_cost(p, x, store, tok)  # same token: no increment
@@ -70,8 +70,8 @@ def test_counter_law_distinct_points():
 
 def test_cache_never_crosses_tokens():
     p, _, _ = _counting_problem()
-    store = CacheStore()
-    t1, t2 = store.token(), store.token()
+    store = Counters()
+    t1, t2 = new_token(), new_token()
     v1 = get_cost(p, np.ones(4), store, t1)
     v2 = get_cost(p, 2 * np.ones(4), store, t2)
     assert v1 != v2
@@ -82,7 +82,7 @@ def test_cache_never_crosses_tokens():
 def test_caching_disabled_counts_every_call():
     # A one-shot call (no token) caches nothing.
     p, calls, _ = _counting_problem()
-    store = CacheStore()
+    store = Counters()
     a = get_cost(p, np.ones(4), store)
     b = get_cost(p, np.ones(4), store)
     assert a == b  # caching changes counters only, never values
@@ -108,9 +108,9 @@ def test_user_scratch_dict_shared_between_cost_and_grad():
         return -2.0 * ax
 
     p = ProblemDef(manifold=M, cost=cost, egrad=egrad)
-    store = CacheStore()
+    store = Counters()
     x = M.rand_point(np.random.default_rng(0))
-    tok = store.token()
+    tok = new_token()
     get_cost(p, x, store, tok)
     get_gradient(p, x, store, tok)
     assert hits["reused"] == 1
@@ -181,9 +181,9 @@ def test_hessian_resolution_priority():
     p_both = ProblemDef(ehess=ehess, rhess=rhess, **kw)
     x = M.rand_point(np.random.default_rng(2))
     u = M.rand_tangent(x, np.random.default_rng(3))
-    h1 = get_hessian(p_both, x, u)
+    h1 = hessian_at(p_both, x)(u)
     assert used == ["rhess"]
-    h2 = get_hessian(ProblemDef(ehess=ehess, **kw), x, u)
+    h2 = hessian_at(ProblemDef(ehess=ehess, **kw), x)(u)
     np.testing.assert_allclose(h1, h2, atol=1e-12)
     assert p_both.has_exact_hessian()
 
@@ -192,14 +192,14 @@ def test_hessian_of_zero_is_zero():
     p, _, _ = _counting_problem()
     M = p.manifold
     x = np.ones(4)
-    np.testing.assert_allclose(get_hessian(p, x, np.zeros(4)), np.zeros(4))
+    np.testing.assert_allclose(hessian_at(p, x)(np.zeros(4)), np.zeros(4))
 
 
 def test_euclidean_quadratic_hessian_exact():
     p, _, q = _counting_problem()
     rng = np.random.default_rng(4)
     x, u = rng.standard_normal(4), rng.standard_normal(4)
-    np.testing.assert_allclose(get_hessian(p, x, u), q @ u, atol=1e-12)
+    np.testing.assert_allclose(hessian_at(p, x)(u), q @ u, atol=1e-12)
 
 
 # --- FD Hessian fallback ----------------------------------------------------
@@ -235,7 +235,7 @@ def test_fd_hessian_accuracy_sphere_rayleigh():
     for _ in range(20):
         x = M.rand_point(rng)
         u = M.rand_tangent(x, rng)
-        exact = get_hessian(p, x, u)
+        exact = hessian_at(p, x)(u)
         fd = approx_hessian_fd(p, x, u)
         err = M.norm(x, M.lincomb(x, 1.0, fd, -1.0, exact))
         assert err <= 1e-3 * max(1.0, M.norm(x, exact))
@@ -257,14 +257,14 @@ def test_fd_fallback_on_fixed_rank_logged_once(caplog):
 
     p = ProblemDef(manifold=M, cost=cost, egrad=egrad, ehess=ehess)
     assert not p.has_exact_hessian()
-    store = CacheStore()
+    store = Counters()
     x = M.rand_point(np.random.default_rng(9))
     u = M.rand_tangent(x, np.random.default_rng(10))
     with caplog.at_level(logging.INFO, logger="riemopt.problem"):
-        get_hessian(p, x, u, store, store.token())
-        get_hessian(p, x, u, store, store.token())
+        hessian_at(p, x, store, new_token())(u)
+        hessian_at(p, x, store, new_token())(u)
     msgs = [r for r in caplog.records if "FD Hessian" in r.getMessage()]
     assert len(msgs) == 1
     # The fallback result is still a usable tangent vector.
-    h = get_hessian(p, x, u)
+    h = hessian_at(p, x)(u)
     assert np.isfinite(M.norm(x, h))

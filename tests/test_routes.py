@@ -2,7 +2,7 @@
 
 Every combination of egrad / rgrad / ehess / rhess on a sphere, plus ehess
 on fixed rank (no exact Hessian conversion there).  For each one the
-route ``ProblemDef.hessian_source`` reports is the one ``get_hessian``
+route ``ProblemDef.hessian_source`` reports is the one ``hessian_at``
 takes, and ``trust_regions`` fails with ``MissingDerivativeError`` exactly
 when the problem has no gradient.
 """
@@ -16,15 +16,15 @@ import pytest
 
 import riemopt.problem
 from riemopt import (
-    CacheStore,
     ProblemDef,
     SolverOptions,
     fixed_rank_factory,
-    get_hessian,
+    hessian_at,
     sphere_factory,
     trust_regions,
 )
 from riemopt.exceptions import MissingDerivativeError
+from riemopt.problem import Counters, new_token
 
 FIELDS = ("egrad", "rgrad", "ehess", "rhess")
 
@@ -77,10 +77,10 @@ def _route_taken(p, monkeypatch, calls):
     rng = np.random.default_rng(0)
     x = p.manifold.rand_point(rng)
     u = p.manifold.rand_tangent(x, rng)
-    store = CacheStore()
+    store = Counters()
     calls.clear()
     try:
-        get_hessian(p, x, u, store, store.token())
+        hessian_at(p, x, store, new_token())(u)
     except MissingDerivativeError:
         return "unavailable"
     if "rhess" in calls:
@@ -159,9 +159,9 @@ def test_fd_log_names_the_missing_egrad(caplog):
     M, cost, fns = _sphere_callables([])
     p = ProblemDef(manifold=M, cost=cost, rgrad=fns["rgrad"], ehess=fns["ehess"])
     x = M.rand_point(np.random.default_rng(3))
-    store = CacheStore()
+    store = Counters()
     with caplog.at_level(logging.INFO, logger="riemopt.problem"):
-        get_hessian(p, x, M.rand_tangent(x, np.random.default_rng(4)), store, store.token())
+        hessian_at(p, x, store, new_token())(M.rand_tangent(x, np.random.default_rng(4)))
     (msg,) = [r.getMessage() for r in caplog.records if "FD Hessian" in r.getMessage()]
     assert "needs 'egrad'" in msg
 

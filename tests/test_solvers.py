@@ -17,7 +17,6 @@ from riemopt import (
     euclidean_factory,
     fixed_rank_factory,
     history_to_csv,
-    shared_stopping,
     sphere_factory,
     steepest_descent,
     stiefel_factory,
@@ -34,6 +33,7 @@ from riemopt.solvers.core import (
     USER_STOP,
     IterationRecord,
     backtracking_line_search,
+    shared_stopping,
 )
 from riemopt.solvers.trust_regions import (
     TCG_BOUNDARY,
@@ -573,6 +573,12 @@ def test_counters_reported_in_result():
     c = res.counters
     assert c["cost_evals"] > 0 and c["grad_evals"] > 0
     assert c["hess_evals"] == 0
+    # The FD route's log-once flag is not a counter.
+    p_fd = ProblemDef(manifold=p.manifold, cost=p.cost, egrad=p.egrad)
+    assert p_fd.hessian_source == "fd-fallback"
+    res = trust_regions(p_fd, rng=np.random.default_rng(24), opts=SolverOptions(max_iter=5))
+    assert list(res.counters) == ["cost_evals", "grad_evals", "hess_evals"]
+    assert res.counters["hess_evals"] > 0
 
 
 def test_cg_evaluates_gradient_once_per_point():
