@@ -35,7 +35,8 @@ class SolverOptions:
     t]: ``ls_contraction`` is the largest factor one backtrack keeps, and
     the only one when the fit fails or when it is below 0.1.  A
     ``line_search`` callable with signature ``(phi, phi0, slope, t0) ->
-    (t, phi_t) or None`` replaces the default backtracking.  The
+    (t, phi_t) or None`` replaces the default backtracking (and CG's
+    extrapolation, which only the default makes), with the same t0.  The
     ``clock`` is injectable so runs can produce deterministic timings.
     ``tol_grad_norm`` and, when given, ``delta_bar`` and ``delta0`` must be
     positive and finite, and ``max_inner`` at least 1.  ``ls_contraction``
@@ -225,7 +226,7 @@ def history_to_csv(history: List[IterationRecord], path) -> None:
             fh.write(",".join(fmt(v) for v in astuple(r)) + "\n")
 
 
-def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
+def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions, *, extrapolate=False):
     """Armijo backtracking by quadratic interpolation.
 
     Tries t0 first.  After a rejected trial t with a finite phi(t), the
@@ -234,6 +235,9 @@ def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
     safeguarded to lie in [0.1 t, ``ls_contraction`` t]; the contraction
     wins when it is below 0.1.  A NaN or infinite phi(t), or a quadratic
     without positive curvature, shrinks t by ``ls_contraction`` alone.
+    With ``extrapolate``, a t0 with sufficient decrease whose fitted
+    minimizer lies outside [0.8 t0, 1.25 t0] is followed by one trial at
+    that minimizer, which is returned instead if its cost is lower.
 
     Returns (t, phi(t)) for the first trial with sufficient decrease, or
     None when the first trial and ls_max_backtracks backtracks all fail.
@@ -241,14 +245,16 @@ def backtracking_line_search(phi, phi0, slope, t0, opts: SolverOptions):
     c1 = opts.ls_sufficient_decrease
     contraction = opts.ls_contraction
     t = t0
-    for _ in range(opts.ls_max_backtracks + 1):
+    for k in range(opts.ls_max_backtracks + 1):
         f_new = phi(t)
-        if f_new <= phi0 + c1 * t * slope:
-            return t, f_new
         curvature = f_new - phi0 - slope * t
-        if math.isfinite(f_new) and curvature > 0:
-            t_min = -slope * t * t / (2.0 * curvature)
-            t = min(contraction * t, max(0.1 * t, t_min))
-        else:
-            t *= contraction
+        fitted = math.isfinite(f_new) and curvature > 0
+        t_min = -slope * t * t / (2.0 * curvature) if fitted else 0.0
+        if f_new <= phi0 + c1 * t * slope:
+            if extrapolate and k == 0 and fitted and not 0.8 * t <= t_min <= 1.25 * t:
+                f_min = phi(t_min)
+                if f_min < f_new:
+                    return t_min, f_min
+            return t, f_new
+        t = min(contraction * t, max(0.1 * t, t_min)) if fitted else contraction * t
     return None

@@ -2,13 +2,14 @@
 
 Both take one line-search step rule; steepest descent is that rule with
 the direction reset to -grad at every point.  The step comes from Armijo
-backtracking (or a user-supplied line search) with an adaptive initial
-step: twice the previous cost decrease divided by the directional
-derivative.  On a quadratic that step is the minimizer along the ray when
-the cost falls as much as it did at the last step; near a minimizer the
-decrease shrinks from step to step, so the step overshoots, and each
-backtrack moves to the minimizer of the quadratic fitted along the ray
-rather than shrinking by a fixed factor (see ``backtracking_line_search``).
+backtracking (or a user-supplied line search).  Each accepted step fits
+kappa, the curvature per unit length of the quadratic through f(0), the
+slope and f(t); the next search starts at -slope / (kappa ||d||^2), for
+steepest descent on a quadratic the Barzilai-Borwein step (Barzilai &
+Borwein 1988; Iannazzo & Porcelli 2018 on manifolds).  While kappa is
+unknown (first search, a step that did not lower the cost, a failed fit)
+it starts from min(typical_dist / ||d||, typical_dist).  CG, which needs
+near-exact steps, lets its default search try the fitted minimizer once.
 """
 
 from __future__ import annotations
@@ -54,10 +55,21 @@ def _make_ray(p, M, x, d, store):
     return phi, point
 
 
-def _initial_step(prev_decrease, slope, typical_dist, dnorm):
-    if prev_decrease is not None and prev_decrease > 0 and slope < 0:
-        return 2.0 * prev_decrease / (-slope)
-    return min(typical_dist / dnorm, typical_dist)
+def _initial_step(kappa, slope, typical_dist, dnorm):
+    """-slope / (kappa ||d||^2), or the a-priori step while kappa is unknown or
+    that step is not positive and finite.  Python floats overflow silently."""
+    curvature = kappa * float(dnorm) * float(dnorm) if kappa else 0.0
+    t0 = -float(slope) / curvature if curvature > 0 else 0.0
+    return t0 if 0 < t0 < math.inf else min(typical_dist / dnorm, typical_dist)
+
+
+def _fitted_curvature(f0, slope, t, f_t, dnorm):
+    """kappa = 2 (f(t) - f0 - slope t) / (t ||d||)^2, or None when the step did
+    not strictly lower the cost or kappa is not positive and finite (also
+    when (t ||d||)^2 underflows)."""
+    step_sq = float(t * dnorm) * float(t * dnorm)
+    kappa = 2.0 * float(f_t - f0 - slope * t) / step_sq if f_t < f0 and step_sq > 0 else 0.0
+    return kappa if 0 < kappa < math.inf else None
 
 
 def steepest_descent(
@@ -80,7 +92,9 @@ def conjugate_gradient(
 
     The search direction is transported to each new point; beta is clamped
     at zero and the direction is reset to steepest descent whenever it
-    fails to be a descent direction.
+    fails to be a descent direction.  A first trial of the default search
+    that passes Armijo far from the fitted minimizer is followed by one
+    trial there.
     """
     return _descent(p, x0, opts, rng, conjugate=True)
 
@@ -92,25 +106,30 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
     no preconditioner.  With it, the gradient at the new point also gives
     beta and the next direction, and a search that fails along a conjugate
     direction (beta > 0) is tried once more along -P grad, from the
-    a-priori initial step: the failed search's guess came from the last
-    decrease, which may have been tiny.
+    a-priori initial step rather than the fitted curvature.
     """
     M = p.manifold
 
     def rule(opts, store):
-        prev_decrease = None
+        kappa = None
         d, beta = None, 0.0
-        line_search = opts.line_search or functools.partial(backtracking_line_search, opts=opts)
+        line_search = opts.line_search or functools.partial(
+            backtracking_line_search, opts=opts, extrapolate=conjugate
+        )
 
         def search(x, f, d, slope, dnorm):
             """Line search from x along d: (step, cost, point, token) or None."""
-            t0 = _initial_step(prev_decrease, slope, M.typical_dist, dnorm)
+            nonlocal kappa
+            t0 = _initial_step(kappa, slope, M.typical_dist, dnorm)
             phi, point = _make_ray(p, M, x, d, store)
             ls = line_search(phi, f, slope, t0)
-            return None if ls is None else (ls[0] * dnorm, ls[1], *point(ls[0]))
+            if ls is None:
+                return None
+            kappa = _fitted_curvature(f, slope, *ls, dnorm)
+            return ls[0] * dnorm, ls[1], *point(ls[0])
 
         def step(x, tok, f, g, gnorm):
-            nonlocal prev_decrease, d, beta
+            nonlocal kappa, d, beta
             if not conjugate:
                 d = M.lincomb(x, -1.0, g)
                 found = search(x, f, d, -(gnorm**2), gnorm)
@@ -121,12 +140,11 @@ def _descent(p: ProblemDef, x0, opts, rng, conjugate: bool) -> RunResult:
                 found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
                 if found is None and beta > 0:  # once more, along -P grad
                     d, beta = M.lincomb(x, -1.0, pg), 0.0
-                    prev_decrease = None  # from the a-priori step
+                    kappa = None  # from the a-priori step
                     found = search(x, f, d, M.inner(x, g, d), M.norm(x, d))
             if found is None:
                 return STEP_COLLAPSE
             step_size, f_new, x_new, tok_new = found
-            prev_decrease = f - f_new
             if conjugate:
                 g_new = get_gradient(p, x_new, store, tok_new)
                 pg_new = g_new if p.precond is None else p.precond(x_new, g_new)

@@ -152,100 +152,106 @@ def _run_digest(result) -> str:
 # the histories differ from there on.  Their summed cost_evals fell from
 # 866 to 515; elliptope-sd (54 -> 56 cost evals) and stiefel-cg (22 -> 28
 # grad evals) rose.  The TR entries never call the line search and did
-# not move.
+# not move.  They were re-pinned again when each search began to start
+# from the curvature fitted on the last accepted step (BB1 for steepest
+# descent on a quadratic) instead of 2 * (last decrease) / (-slope), and
+# CG's default search began to try the fitted minimizer once after a first
+# trial that passes Armijo: every second search starts from another t0.
+# Their summed cost_evals fell from 515 to 295 and grad_evals from 276 to
+# 227; euclidean-cg (9 -> 11 grad evals) and sphere-cg (10 -> 11) rose.
 SOLVER_GOLDEN = {
     ("sphere", "sd"): (
-        "97c47d2cdb1520e89d634d42b0dd1f1ec39f9530f77ab211a25b37f4ffd24638",
-        "gradient_tolerance", {'cost_evals': 22, 'grad_evals': 10, 'hess_evals': 0},
-    ),  # 10 records
+        "8199582418b693db0a2c13b2c36e88766b44a3f06f48ddaa8f9a8918bd79cdd4",
+        "gradient_tolerance", {'cost_evals': 9, 'grad_evals': 9, 'hess_evals': 0},
+    ),  # 9 records
     ("sphere", "cg"): (
-        "483b50ab36c3b8194a614b22b79ecb228874b94689c5a66fb4dd25118d054022",
-        "gradient_tolerance", {'cost_evals': 20, 'grad_evals': 10, 'hess_evals': 0},
-    ),  # 10 records
+        "b56b1b6e764b521652d141a891b88d93b42975dcd6634d51e8e81732776587f7",
+        "gradient_tolerance", {'cost_evals': 13, 'grad_evals': 11, 'hess_evals': 0},
+    ),  # 11 records
     ("sphere", "tr"): (
         "d0797dfc7f4106a4f8b0ace661a2121521e63700bba18a0eac31b9cf021910dc",
         "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 11},
     ),  # 7 records
     ("oblique", "sd"): (
-        "4eaf30c1142667d379296a9b8cdc43e06a75b291586c077f4e39609531649f17",
-        "gradient_tolerance", {'cost_evals': 28, 'grad_evals': 15, 'hess_evals': 0},
-    ),  # 15 records
+        "959119f948ae4047433ac09a2d9de82c71e11e51986b70a11cbf7ccdc9a122dc",
+        "gradient_tolerance", {'cost_evals': 11, 'grad_evals': 11, 'hess_evals': 0},
+    ),  # 11 records
     ("oblique", "cg"): (
-        "806f19ba518dfab6301822955b72f9483334579b8ed99c719e723d7a367890b9",
-        "gradient_tolerance", {'cost_evals': 26, 'grad_evals': 13, 'hess_evals': 0},
-    ),  # 13 records
+        "c5ee4e467e4a772e982256c63ea0eeb7fece494f5d522de50400e4a1e97ed173",
+        "gradient_tolerance", {'cost_evals': 15, 'grad_evals': 12, 'hess_evals': 0},
+    ),  # 12 records
     ("oblique", "tr"): (
         "95c2df8543c5cd9c581c1d4f9a690c42e0880e066efbb959e6f35609df71e17c",
         "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 15},
     ),  # 7 records
     ("stiefel", "sd"): (
-        "c259a47baaf376dc8569b1affe1c2230eecd6ac409fd71685f7a6b54336865ec",
-        "gradient_tolerance", {'cost_evals': 33, 'grad_evals': 20, 'hess_evals': 0},
-    ),  # 20 records
+        "bdb2ac9efe175f37f8829a70fdecd2c74e6f8f4feb901c87505bde31ae208772",
+        "gradient_tolerance", {'cost_evals': 19, 'grad_evals': 17, 'hess_evals': 0},
+    ),  # 17 records
     ("stiefel", "cg"): (
-        "560dd82e680e285843cbb3426dba047a695d8724e56731032d7c322b6f34fdfb",
-        "gradient_tolerance", {'cost_evals': 44, 'grad_evals': 28, 'hess_evals': 0},
-    ),  # 28 records
+        "82ce98cf70966d42860b37eb64135edb641d8b42dfeb2590d7dadd2bb2cbf78a",
+        "gradient_tolerance", {'cost_evals': 23, 'grad_evals': 14, 'hess_evals': 0},
+    ),  # 14 records
     ("stiefel", "tr"): (
         "627af5607d1c9d0a5afc35bc98afaf80550035107dcf5324b570012d682bdbf2",
         "gradient_tolerance", {'cost_evals': 8, 'grad_evals': 8, 'hess_evals': 17},
     ),  # 8 records
     ("grassmann", "sd"): (
-        "2394212ffb9fc859e4cdfed9619ae6fe7d28a1e634d28ee8ba1bcf9d95a3d11d",
-        "gradient_tolerance", {'cost_evals': 41, 'grad_evals': 32, 'hess_evals': 0},
-    ),  # 32 records
+        "873b162e6424fa97e481068b5ccbd66f92e16782c1f626377ba20b4287a802a6",
+        "gradient_tolerance", {'cost_evals': 40, 'grad_evals': 29, 'hess_evals': 0},
+    ),  # 29 records
     ("grassmann", "cg"): (
-        "6110f28e0ec36f78e04b48badfd0f24dddd77ce2c7ffeed14c80df7aa329673e",
-        "gradient_tolerance", {'cost_evals': 41, 'grad_evals': 24, 'hess_evals': 0},
-    ),  # 24 records
+        "d9b66b02f08a0ec6175b664443e37b7ef3e821086a451a0220b465744c520188",
+        "gradient_tolerance", {'cost_evals': 28, 'grad_evals': 19, 'hess_evals': 0},
+    ),  # 19 records
     ("grassmann", "tr"): (
         "b25da5a29487bdc11d76edd725db47cabb2bc15362112bb992eda7584cb92463",
         "gradient_tolerance", {'cost_evals': 5, 'grad_evals': 5, 'hess_evals': 11},
     ),  # 5 records
     ("rotations", "sd"): (
-        "108cc8ffd35041fdfc85cb06228c989c7a57e8088e78b0b09ecd796d5a6dad94",
-        "gradient_tolerance", {'cost_evals': 42, 'grad_evals': 20, 'hess_evals': 0},
-    ),  # 20 records
+        "1f8bc2ae813567174893d9d27863e541c31f9a8f0799da6d1aacd6f33087c3de",
+        "gradient_tolerance", {'cost_evals': 18, 'grad_evals': 16, 'hess_evals': 0},
+    ),  # 16 records
     ("rotations", "cg"): (
-        "94d1197edaa112d8fecd9d8cc71c7e5b1ee5595091875d08edab8499b4473f09",
-        "gradient_tolerance", {'cost_evals': 29, 'grad_evals': 12, 'hess_evals': 0},
+        "b237becf368f06fcf34175a20d54aea3f9fe7c2361b67b9324bfd294b0fcaaa9",
+        "gradient_tolerance", {'cost_evals': 18, 'grad_evals': 12, 'hess_evals': 0},
     ),  # 12 records
     ("rotations", "tr"): (
         "c1f1bc9be66776aa98a53f91a333a94ef15f6e5e24d951c4c151557c8976f1fd",
         "gradient_tolerance", {'cost_evals': 8, 'grad_evals': 8, 'hess_evals': 14},
     ),  # 8 records
     ("elliptope", "sd"): (
-        "0fac6cc54d6bfb0239a39e71794664094bdf4c46d3ee14c3e611b8ca9afd4430",
-        "gradient_tolerance", {'cost_evals': 56, 'grad_evals': 33, 'hess_evals': 0},
-    ),  # 33 records
+        "9d272fde70d8e8fa0f72a1e7c9b79c788a9b4efe9d8e60fe3a4936c20cdae210",
+        "gradient_tolerance", {'cost_evals': 23, 'grad_evals': 21, 'hess_evals': 0},
+    ),  # 21 records
     ("elliptope", "cg"): (
-        "cf0893aeb2b794578c6548cb52b0c6ea5d985b0f3c811610aaf2b7df2cad1a3c",
-        "gradient_tolerance", {'cost_evals': 36, 'grad_evals': 22, 'hess_evals': 0},
-    ),  # 22 records
+        "d71463d7bc3a591bf8b12cee79bc1ac68100492297bbfbf29e1b27c7b3799f21",
+        "gradient_tolerance", {'cost_evals': 35, 'grad_evals': 19, 'hess_evals': 0},
+    ),  # 19 records
     ("elliptope", "tr"): (
         "da642efba88b4fc08246fe97abe17da6f7879049c18cf413f15d4dc191953774",
         "gradient_tolerance", {'cost_evals': 10, 'grad_evals': 10, 'hess_evals': 20},
     ),  # 10 records
     ("spectrahedron", "sd"): (
-        "5825e02edf9bcedf0dff8747b23b0fa1ed50a40be05545502bd5b661da5be7e9",
-        "gradient_tolerance", {'cost_evals': 23, 'grad_evals': 8, 'hess_evals': 0},
+        "98b8f5b57fd517769e9cc78703d3ecfcd33a11c8beb17683d6aebcd5ef29a5c1",
+        "gradient_tolerance", {'cost_evals': 9, 'grad_evals': 8, 'hess_evals': 0},
     ),  # 8 records
     ("spectrahedron", "cg"): (
-        "b87f3ee2fd6f1d2321bd90fe8aa0c370506e70fa3083c93d3dd56ef65d318059",
-        "gradient_tolerance", {'cost_evals': 23, 'grad_evals': 8, 'hess_evals': 0},
+        "bb4a5b2ea220ca81306e92e368701539d557b65826cfd2d50f40901a88b36325",
+        "gradient_tolerance", {'cost_evals': 10, 'grad_evals': 8, 'hess_evals': 0},
     ),  # 8 records
     ("spectrahedron", "tr"): (
         "85523890f2e3ae0291d6d79397f35a30d65bbaf5ec8505d31d8ad524be35b00c",
         "gradient_tolerance", {'cost_evals': 6, 'grad_evals': 6, 'hess_evals': 8},
     ),  # 6 records
     ("euclidean", "sd"): (
-        "354c4d0687dc95bf8a8a1b8e037be6d1c56dfafd401ac50d41d18c62095536fb",
-        "gradient_tolerance", {'cost_evals': 31, 'grad_evals': 12, 'hess_evals': 0},
-    ),  # 12 records
+        "4546584f388d85f4b07a582da5913bdc08a5894685a7cfc6b6111036d20868b4",
+        "gradient_tolerance", {'cost_evals': 10, 'grad_evals': 10, 'hess_evals': 0},
+    ),  # 10 records
     ("euclidean", "cg"): (
-        "d33ec8515b4ca8085c94a7af6388b0c4010416c02dd77239f546b1589106c628",
-        "gradient_tolerance", {'cost_evals': 20, 'grad_evals': 9, 'hess_evals': 0},
-    ),  # 9 records
+        "402aa495c0c08aee2dc2a724d4c67e48914545eda7a0614bb193da620766e85f",
+        "gradient_tolerance", {'cost_evals': 14, 'grad_evals': 11, 'hess_evals': 0},
+    ),  # 11 records
     ("euclidean", "tr"): (
         "28ce760ecd3d5a414c923e482a81e0d9dbb98b3fa5ef92d9d7fc34d2bd6d4853",
         "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 10},

@@ -705,28 +705,173 @@ def test_cg_retries_a_failed_conjugate_direction_along_minus_grad(refused):
 
 
 def test_cg_retry_along_minus_grad_starts_from_the_a_priori_step():
-    # The failed conjugate search's initial step came from the last
-    # decrease, which may be tiny; the retry along -grad starts afresh from
-    # min(typical_dist / ||grad||, typical_dist).
+    # The failed conjugate search started from the curvature kappa fitted
+    # on the last step, at t0 = -slope / (kappa ||d||^2); the retry along
+    # -grad starts afresh from min(typical_dist / ||grad||, typical_dist).
     p, _ = rayleigh_problem(8, seed=33)
     M = p.manifold
-    calls = []  # (phi0, slope, t0) of each line search
+    dnorms = []  # ||d|| of each trial
+
+    def retract(x, u, t=1.0):
+        dnorms.append(M.norm(x, u))
+        return M.retract(x, u, t)
+
+    p = dataclasses.replace(p, manifold=dataclasses.replace(M, retract=retract))
+    calls = []  # (phi0, slope, t0, ||d||, result) of each line search
 
     def line_search(phi, phi0, slope, t0):
-        calls.append((phi0, slope, t0))
-        if len(calls) == 2:
-            return None
-        return backtracking_line_search(phi, phi0, slope, t0, opts)
+        if len(calls) == 1:
+            phi(t0)  # a refused trial, which logs ||d||
+            ls = None
+        else:
+            ls = backtracking_line_search(phi, phi0, slope, t0, opts)
+        calls.append((phi0, slope, t0, dnorms[-1], ls))
+        return ls
 
     opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
     res = conjugate_gradient(p, opts=opts, rng=np.random.default_rng(34))
     assert res.stop_reason == GRADIENT_TOLERANCE
-    (_, conj_slope, conj_t0), (_, retry_slope, retry_t0) = calls[1], calls[2]
-    decrease = res.history[0].cost - res.history[1].cost
-    assert conj_t0 == pytest.approx(2.0 * decrease / -conj_slope, rel=1e-12)
+    (f0, slope0, _, dnorm0, (t, f_t)), (_, conj_slope, conj_t0, conj_dnorm, _) = calls[:2]
+    kappa = 2.0 * (f_t - f0 - slope0 * t) / (t * dnorm0) ** 2
+    assert conj_t0 == pytest.approx(-conj_slope / (kappa * conj_dnorm**2), rel=1e-12)
+    _, retry_slope, retry_t0, retry_dnorm, _ = calls[2]
     gnorm = res.history[1].grad_norm
+    assert retry_dnorm == pytest.approx(gnorm, rel=1e-12)
     assert retry_t0 == pytest.approx(min(M.typical_dist / gnorm, M.typical_dist), rel=1e-12)
-    assert retry_t0 != pytest.approx(2.0 * decrease / -retry_slope, rel=1e-6)
+    assert retry_t0 != pytest.approx(-retry_slope / (kappa * gnorm**2), rel=1e-6)
+
+
+def _record_t0(first=None):
+    """A line search that logs each t0, makes its first calls return
+    ``first[k](phi)`` and backtracks from t0 afterwards."""
+    t0s = []
+
+    def line_search(phi, phi0, slope, t0):
+        t0s.append(t0)
+        if first is not None and len(t0s) <= len(first):
+            return first[len(t0s) - 1](phi)
+        return backtracking_line_search(phi, phi0, slope, t0, SolverOptions())
+
+    return t0s, line_search
+
+
+def test_sd_second_initial_step_is_bb1_on_a_quadratic():
+    # The curvature fitted on the first step of 1/2 x'Ax is d1'A d1 / ||d1||^2,
+    # so the second search starts at the Barzilai-Borwein step 1 / that.
+    A = np.diag([1.0, 3.0, 10.0])
+    x0 = np.array([1.0, -2.0, 0.5])
+    t0s, line_search = _record_t0()
+    steepest_descent(_euclid_quadratic(A), x0, SolverOptions(line_search=line_search))
+    d1 = -(A @ x0)
+    assert t0s[1] == pytest.approx(1.0 / (d1 @ A @ d1 / (d1 @ d1)), rel=1e-10)
+
+
+def test_a_step_that_does_not_lower_the_cost_leaves_the_curvature_unknown():
+    # On 1/2 ||x||^2 from (4, 0): the step t = 1/2 halves x and fits kappa = 1,
+    # so the next search starts at -slope / ||d||^2 = 1; accepting t = 2 there
+    # lands on (-2, 0) at the same cost, and the search after it starts from
+    # the a-priori step min(typical_dist / ||d||, typical_dist) again.
+    p = _euclid_quadratic(np.eye(2))
+    first = [lambda phi: (0.5, phi(0.5)), lambda phi: (2.0, phi(2.0))]
+    t0s, line_search = _record_t0(first)
+    res = steepest_descent(p, np.array([4.0, 0.0]), SolverOptions(line_search=line_search))
+    assert [rec.cost for rec in res.history[:3]] == [8.0, 2.0, 2.0]
+    td = p.manifold.typical_dist
+    assert t0s[:3] == [pytest.approx(min(td / 4, td)), 1.0, pytest.approx(min(td / 2, td))]
+
+
+def test_an_underflowing_step_leaves_the_curvature_unknown():
+    # The first step has length 1e-165, so (t ||d||)^2 underflows to 0 while
+    # the cost still falls; the second search starts from the a-priori step.
+    scale = 1e200
+    p = ProblemDef(
+        manifold=euclidean_factory(2),
+        cost=lambda x: 0.5 * scale * float(x @ x),
+        egrad=lambda x: scale * x,
+        ehess=lambda x, u: scale * u,
+    )
+    t0s, line_search = _record_t0([lambda phi: (1e-215, phi(1e-215)), lambda phi: None])
+    res = steepest_descent(p, np.array([1e-150, 0.0]), SolverOptions(line_search=line_search))
+    assert res.stop_reason == STEP_COLLAPSE
+    assert res.history[1].cost < res.history[0].cost
+    assert (res.history[1].step_size * res.history[1].step_size) == 0.0
+    gnorm, td = res.history[1].grad_norm, p.manifold.typical_dist
+    assert len(t0s) == 2 and all(math.isfinite(t0) for t0 in t0s)
+    assert t0s[1] == pytest.approx(min(td / gnorm, td), rel=1e-12, abs=0)
+
+
+def _quadratic_ray(t_min, bump=0.0):
+    """phi(t) = 1 - t + t^2 / (2 t_min), raised by ``bump`` beyond t = 1,
+    and the list of trials it logs."""
+    trials = []
+
+    def phi(t):
+        trials.append(t)
+        return 1.0 - t + t * t / (2.0 * t_min) + (bump if t > 1.0 else 0.0)
+
+    return phi, trials
+
+
+@pytest.mark.parametrize("t_min", [3.0, 0.6])
+def test_extrapolating_search_tries_the_fitted_minimizer_once(t_min):
+    # t0 = 1 passes Armijo; the quadratic through phi(0), phi'(0) = -1 and
+    # phi(1) has its minimizer at t_min, outside [0.8, 1.25], so the search
+    # tries it once and keeps it.
+    phi, trials = _quadratic_ray(t_min)
+    t, f = backtracking_line_search(phi, 1.0, -1.0, 1.0, SolverOptions(), extrapolate=True)
+    assert len(trials) == 2
+    assert t == pytest.approx(t_min, rel=1e-12) and f == phi(t)
+
+
+@pytest.mark.parametrize("t_min, extrapolate", [(1.1, True), (0.85, True), (3.0, False)])
+def test_search_without_extrapolation_makes_one_trial(t_min, extrapolate):
+    # A fitted minimizer within [0.8 t, 1.25 t] is not worth a trial, and
+    # the default search never extrapolates.
+    phi, trials = _quadratic_ray(t_min)
+    ls = backtracking_line_search(phi, 1.0, -1.0, 1.0, SolverOptions(), extrapolate=extrapolate)
+    assert trials == [1.0] and ls == (1.0, phi(1.0))
+
+
+def test_extrapolating_search_discards_a_costlier_trial():
+    phi, trials = _quadratic_ray(3.0, bump=10.0)
+    ls = backtracking_line_search(phi, 1.0, -1.0, 1.0, SolverOptions(), extrapolate=True)
+    assert len(trials) == 2 and trials[1] == pytest.approx(3.0, rel=1e-12)
+    assert ls == (1.0, phi(1.0))
+
+
+def test_sd_never_extrapolates():
+    # Steepest descent's default search tries another t only after a trial
+    # that fails Armijo, even when the first trial passes far from the
+    # fitted minimizer (where CG's search would try that minimizer too).
+    p = _euclid_quadratic(np.diag([1.0, 4.0, 30.0, 100.0]))
+    M = p.manifold
+    trials = []  # per search: [(t, cost)] of its trials
+
+    def retract(x, u, t=1.0):
+        y = M.retract(x, u, t)
+        trials[-1].append((t, p.cost(y)))
+        return y
+
+    def new_search(rec):
+        trials.append([])
+
+    p = dataclasses.replace(p, manifold=dataclasses.replace(M, retract=retract))
+    opts = SolverOptions(stats_callback=new_search, clock=lambda: 0.0)
+    res = steepest_descent(p, np.array([1.0, 1.0, 1.0, 1.0]), opts)
+    assert res.stop_reason == GRADIENT_TOLERANCE
+    c1 = opts.ls_sufficient_decrease
+    far_first = 0
+    for rec, search in zip(res.history, trials[:-1]):
+        slope = -rec.grad_norm**2
+
+        def armijo(t, f):
+            return f <= rec.cost + c1 * t * slope
+
+        assert all(not armijo(t, f) for t, f in search[:-1]) and armijo(*search[-1])
+        (t, f), curvature = search[0], search[0][1] - rec.cost - slope * search[0][0]
+        if armijo(t, f) and curvature > 0:
+            far_first += not 0.8 * t <= -slope * t * t / (2 * curvature) <= 1.25 * t
+    assert far_first > 0
 
 
 def test_tr_rerun_after_a_rejected_step_adds_no_hess_evals():
