@@ -38,7 +38,8 @@ class SolverOptions:
     (t, phi_t) or None`` replaces the default backtracking (and CG's
     extrapolation, which only the default makes), with the same t0.  The
     ``clock`` is injectable so runs can produce deterministic timings.
-    ``tol_grad_norm`` and, when given, ``delta_bar`` and ``delta0`` must be
+    ``tol_grad_norm``, which also floors the tCG's residual target at a
+    hundredth of it, and, when given, ``delta_bar`` and ``delta0`` must be
     positive and finite, and ``max_inner`` at least 1.  ``ls_contraction``
     and ``ls_sufficient_decrease`` must lie in (0, 1), ``ls_max_backtracks``
     must be at least 0, ``rho_prime`` must lie in [0, 1/4) as in Absil,

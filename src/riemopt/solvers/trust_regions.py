@@ -4,8 +4,8 @@ The outer loop minimizes the quadratic model <g, eta> + 0.5 <eta, H eta>
 inside a radius Delta, compares actual and predicted decrease through the
 ratio rho (regularized against 0/0 near convergence), and adjusts Delta by
 the classic quarter/double rule.  The inner solver is the Steihaug-Toint
-truncated CG: it stops on a residual target, negative curvature, the
-trust-region boundary, or an iteration cap.
+truncated CG: it stops on a residual target (at least tol_grad_norm / 100),
+negative curvature, the trust-region boundary, or an iteration cap.
 """
 
 from __future__ import annotations
@@ -41,11 +41,15 @@ def tcg_subsolver(
     """Truncated CG on the trust-region model at x.
 
     Returns (eta, H_eta, stop_flag, inner_iterations).  The residual target
-    is ||r|| <= ||r0|| * min(||r0||^theta, kappa), the usual switch between
-    a superlinear and a linear convergence goal; theta is ``tcg_theta``
-    with an exact Hessian and 0 otherwise, since finite-difference noise
-    defeats a superlinear target.  Without a preconditioner
-    z = r, so one inner product <r, r> gives both ||r|| and <r, z>.
+    is ||r|| <= max(||r0|| * min(||r0||^theta, kappa), tol_grad_norm / 100),
+    the usual switch between a superlinear and a linear convergence goal,
+    floored where a more exact model solve no longer speeds up the outer
+    stop (inexact Newton).  theta is ``tcg_theta`` with an exact Hessian
+    and 0 otherwise, since finite-difference noise defeats a superlinear
+    target.  An r0 within the floor (a zero gradient) returns the zero step,
+    ``TCG_RESIDUAL`` and 0 inner iterations, with no Hessian product.
+    Without a preconditioner z = r, so one inner product <r, r> gives both
+    ||r|| and <r, z>.
 
     The Hessian route is resolved once per call (``hessian_at``).  One loop
     runs the Steihaug-Toint recurrence over one of two vector algebras,
@@ -106,6 +110,11 @@ def tcg_subsolver(
             return M.lincomb(x, -1.0, z, beta, d)
 
     r_r = float(inner(r, r))
+    norm_r0 = math.sqrt(max(r_r, 0.0))
+    floor = opts.tol_grad_norm / 100
+    if norm_r0 <= floor:
+        return eta, h_eta, TCG_RESIDUAL, 0
+    target = max(norm_r0 * min(norm_r0**theta, kappa), floor)
     if precond is None:
         z, r_z = r, r_r
     else:
@@ -116,8 +125,6 @@ def tcg_subsolver(
     e_pe = 0.0
     e_pd = 0.0
     d_pd = r_z
-    norm_r0 = math.sqrt(max(r_r, 0.0))
-    target = norm_r0 * min(norm_r0**theta, kappa)
     delta2 = delta * delta
 
     inner_iters = 0

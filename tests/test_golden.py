@@ -47,24 +47,32 @@ def _gnm_edge_list(n, deg, seed, weights):
 # digests included, stayed the same.  All four `iterations` were re-pinned
 # when the CLI stopped counting each solve's iteration-0 record: one less
 # per rank solved (1 rank for n12, 2 for the others), with the same CSVs.
+# n12, n30 and n40 were re-pinned when the truncated CG began to stop at
+# tol_grad_norm / 100 instead of its superlinear target, which is far
+# below that in the last iterations: those tCG calls take fewer inner
+# steps and end at a larger, still converged, gradient norm (n40's rank-2
+# solve: 28 -> 20 inner steps, 6.3e-10 -> 5.2e-9), so the next rank starts
+# from another point.  cost and bound moved by at most 1.1e-10 relative,
+# and the CSV digests changed; cut, certified, rank_used, iterations and
+# the CSV line counts did not.  n60 did not move.
 GOLDEN = [
     (
         (12, 3, 1, "unit"),
         dict(cut=16.0, bound=16.0, certified=True, rank_used=2, iterations=9,
-             cost=-16.000000000000004),
-        "87ceb7422926630f7257d51d30ada2347793816a4f95f8d2a40f708cfb4ca475", 11,
+             cost=-16.0),
+        "8f8bc9447209e9bb952191c0f7e538d4c340b7b93571ca85a59a3a2a666cfffa", 11,
     ),
     (
         (30, 5, 3, "int"),
-        dict(cut=303.0, bound=314.14277973744737, certified=True, rank_used=4,
+        dict(cut=303.0, bound=314.1427797444102, certified=True, rank_used=4,
              iterations=26, cost=-314.14277973636683),
-        "77022b756e2a1c0db3986b3e461bee9fffc373a3abded300dc321e211ef7c656", 29,
+        "c9b88ba9a3216003d23e50301774e6dda82fe9057032acfd4a049f2d22b5b1f8", 29,
     ),
     (
         (40, 6, 4, "dec"),
-        dict(cut=153.61, bound=160.6844563639028, certified=True, rank_used=4,
-             iterations=20, cost=-160.68445633742618),
-        "8fcf6f9531ace44774627874adfe01857ee3f8c61b424cc26918eeadd386a1db", 23,
+        dict(cut=153.61, bound=160.68445638055707, certified=True, rank_used=4,
+             iterations=20, cost=-160.6844563374262),
+        "a634ca2fcdc6e3c98b33e2702902732efdfdd4bbb81c29b5f5003b468f615298", 23,
     ),
     (
         (60, 3, 5, "unit"),
@@ -159,6 +167,10 @@ def _run_digest(result) -> str:
 # trial that passes Armijo: every second search starts from another t0.
 # Their summed cost_evals fell from 515 to 295 and grad_evals from 276 to
 # 227; euclidean-cg (9 -> 11 grad evals) and sphere-cg (10 -> 11) rose.
+# sphere-tr (hess_evals 11 -> 10) and oblique-tr (15 -> 11) were re-pinned
+# when the truncated CG began to stop at tol_grad_norm / 100: their last
+# tCG calls stop earlier, with the same record count and stop reason.  The
+# other TR entries did not move.
 SOLVER_GOLDEN = {
     ("sphere", "sd"): (
         "8199582418b693db0a2c13b2c36e88766b44a3f06f48ddaa8f9a8918bd79cdd4",
@@ -169,8 +181,8 @@ SOLVER_GOLDEN = {
         "gradient_tolerance", {'cost_evals': 13, 'grad_evals': 11, 'hess_evals': 0},
     ),  # 11 records
     ("sphere", "tr"): (
-        "d0797dfc7f4106a4f8b0ace661a2121521e63700bba18a0eac31b9cf021910dc",
-        "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 11},
+        "d80a7fb7d840935220b2b50c100c5f233cc2240cdbe42247e7c2747457e01672",
+        "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 10},
     ),  # 7 records
     ("oblique", "sd"): (
         "959119f948ae4047433ac09a2d9de82c71e11e51986b70a11cbf7ccdc9a122dc",
@@ -181,8 +193,8 @@ SOLVER_GOLDEN = {
         "gradient_tolerance", {'cost_evals': 15, 'grad_evals': 12, 'hess_evals': 0},
     ),  # 12 records
     ("oblique", "tr"): (
-        "95c2df8543c5cd9c581c1d4f9a690c42e0880e066efbb959e6f35609df71e17c",
-        "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 15},
+        "abbbcab3a9d5278b1383898dd79527850c45f69b77e5d7cb6cb4a5d95adad6c9",
+        "gradient_tolerance", {'cost_evals': 7, 'grad_evals': 7, 'hess_evals': 11},
     ),  # 7 records
     ("stiefel", "sd"): (
         "bdb2ac9efe175f37f8829a70fdecd2c74e6f8f4feb901c87505bde31ae208772",

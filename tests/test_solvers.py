@@ -2,6 +2,7 @@
 trust regions, shared stopping, CSV export, and determinism."""
 
 import dataclasses
+import hashlib
 import logging
 import math
 
@@ -17,6 +18,7 @@ from riemopt import (
     euclidean_factory,
     fixed_rank_factory,
     history_to_csv,
+    product_factory,
     sphere_factory,
     steepest_descent,
     stiefel_factory,
@@ -24,6 +26,7 @@ from riemopt import (
     trust_regions,
 )
 from riemopt.exceptions import DegenerateStepError
+from riemopt.problem import Counters
 from riemopt.solvers.core import (
     GRADIENT_TOLERANCE,
     MAX_ITER,
@@ -466,6 +469,97 @@ def test_tcg_beats_cauchy_point():
     cauchy = -t_c * g
     assert model(eta) <= model(cauchy) + 1e-12
     assert model(eta) < 0.0
+
+
+@pytest.mark.parametrize(
+    "M",
+    [euclidean_factory(4), product_factory([sphere_factory(3), euclidean_factory(2)])],
+    ids=["array-loop", "generic-loop"],
+)
+def test_tcg_at_a_zero_gradient_returns_the_zero_step(M):
+    p = make_quadratic_problem(M, seed=2)
+    assert p.has_exact_hessian()
+    x = M.rand_point(np.random.default_rng(3))
+    store = Counters()
+    eta, h_eta, stop, inner = tcg_subsolver(p, x, M.zero_tangent(x), 1.0, store=store)
+    assert (stop, inner, store.hess_evals) == (TCG_RESIDUAL, 0, 0)
+    assert M.norm(x, eta) == 0.0 and M.norm(x, h_eta) == 0.0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, math.nan])
+def test_tr_with_a_tcg_kappa_of_one_or_more_still_steps(kappa):
+    # Such a kappa lifts the superlinear target to ||r0|| or above once
+    # ||r0|| >= 1.  Only the floor may end a tCG call before its first
+    # product: a zero step from every call would be rejected to max_iter.
+    p, _ = rayleigh_problem(10, seed=1)
+    res = trust_regions(p, rng=np.random.default_rng(2),
+                        opts=SolverOptions(tcg_kappa=kappa, max_iter=300))
+    assert res.stop_reason == GRADIENT_TOLERANCE
+    assert res.history[0].grad_norm > 1.0
+
+
+def _ill_conditioned_quadratic(n=30, seed=3):
+    """A Euclidean quadratic with eigenvalues 1..1e3 and a random gradient
+    direction at 0."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (basis * np.logspace(0, 3, n)) @ basis.T
+    g = rng.standard_normal(n)
+    return _euclid_quadratic(q), q, g / np.linalg.norm(g)
+
+
+def test_tcg_stops_at_a_hundredth_of_the_gradient_tolerance():
+    # At ||g|| = 1e-5 the superlinear target is 1e-10; tol_grad_norm = 1e-6
+    # floors it at 1e-8, which the solve reaches in fewer inner steps.
+    p, q, g = _ill_conditioned_quadratic()
+    g = 1e-5 * g
+    x = np.zeros(q.shape[0])
+    eta, _, stop, inner = tcg_subsolver(p, x, g, 1e6, SolverOptions(tol_grad_norm=1e-6))
+    eta_tight, _, stop_tight, inner_tight = tcg_subsolver(
+        p, x, g, 1e6, SolverOptions(tol_grad_norm=1e-300)
+    )
+    assert stop == stop_tight == TCG_RESIDUAL
+    assert np.linalg.norm(g + q @ eta) <= 1e-8
+    assert np.linalg.norm(g + q @ eta_tight) <= 1e-10
+    assert inner < inner_tight
+
+
+def test_tcg_floor_leaves_a_call_above_it_bit_for_bit():
+    # At ||g|| = 1e-2 the superlinear target is 1e-4, far above 1e-6 / 100.
+    p, q, g = _ill_conditioned_quadratic()
+    g = 1e-2 * g
+    x = np.zeros(q.shape[0])
+    eta, h_eta, stop, inner = tcg_subsolver(p, x, g, 1e6, SolverOptions(tol_grad_norm=1e-6))
+    eta_0, h_eta_0, stop_0, inner_0 = tcg_subsolver(
+        p, x, g, 1e6, SolverOptions(tol_grad_norm=1e-300)
+    )
+    assert (stop, inner) == (stop_0, inner_0)
+    assert eta.tobytes() == eta_0.tobytes() and h_eta.tobytes() == h_eta_0.tobytes()
+
+
+# (m, n, k) -> (record count, counters, SHA-256 of the history tuples),
+# recorded before the tCG target was floored at tol_grad_norm / 100.  The
+# finite-difference route (theta = 0) steps only while ||g|| > tol, where
+# kappa ||g|| = ||g|| / 10 already lies above the floor, so it must not move.
+FIXED_RANK_TR = {
+    (5, 4, 2): (9, {"cost_evals": 9, "grad_evals": 30, "hess_evals": 21},
+                "95cb124a7a9960cfdd4e9d9aaf9377e4d34bc2ac973a9d9aca40247ab3bfee8e"),
+    (8, 5, 2): (13, {"cost_evals": 13, "grad_evals": 44, "hess_evals": 31},
+                "766da6e34510bbf16ee4ba708b5f77893e41c7b23658cc18939f03456ac5781a"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FIXED_RANK_TR), ids=str)
+def test_fixed_rank_tr_on_the_fd_route_keeps_its_history(shape):
+    M = fixed_rank_factory(*shape)
+    p = make_quadratic_problem(M, seed=7)
+    assert not p.has_exact_hessian()
+    res = trust_regions(p, M.rand_point(np.random.default_rng(8)), SolverOptions(clock=lambda: 0.0))
+    digest = hashlib.sha256()
+    for rec in res.history:
+        digest.update(repr(dataclasses.astuple(rec)).encode())
+    assert res.stop_reason == GRADIENT_TOLERANCE
+    assert (len(res.history), res.counters, digest.hexdigest()) == FIXED_RANK_TR[shape]
 
 
 # --- trust regions -----------------------------------------------------------
