@@ -10,10 +10,11 @@ class DimensionMismatchError(RiemoptError, ValueError):
 
 
 class DegenerateStepError(RiemoptError, RuntimeError):
-    """A retraction or normalization hit a zero (or near-zero) vector."""
+    """A step left the representable set (a retraction or normalization hit
+    a near-zero vector); the solvers score it as an infinite cost."""
 
 
-class RankCollapseError(RiemoptError, RuntimeError):
+class RankCollapseError(DegenerateStepError):
     """A fixed-rank retraction produced a numerically rank-deficient point."""
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..diagnostics import check_gradient, check_hessian
 from ..solvers import SolverOptions, history_to_csv
 from .graph import laplacian, load_graph
-from .solve import CutResult, build_problem, certify, rank_escalation, round_cut, solve_rank_r
+from .solve import SOLVERS, CutResult, build_problem, certify, rank_escalation, round_cut, solve_rank_r
 
 
 def _checked(kind, ok, requirement: str):
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials per rank added")
     solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
     solve.add_argument("--seed", type=_SEED, default=0)
-    solve.add_argument("--solver", choices=("tr", "cg", "sd"), default="tr")
+    solve.add_argument("--solver", choices=tuple(SOLVERS), default="tr")
     solve.add_argument("--out", choices=("text", "json", "csv"), default="text")
     solve.add_argument("--history", help="write per-iteration CSV history here")
     solve.add_argument(

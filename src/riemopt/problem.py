@@ -63,7 +63,7 @@ def new_token() -> dict:
     """A fresh point token, an empty cache entry.  An entry keeps the cost,
     the Riemannian gradient, the user's egrad and the Hessian conversion
     ``ehess2rhess(x, egrad)`` at its point, so each runs once per point,
-    and the trust-region rule keeps the tCG's products there.  A call with
+    and the tCG keeps its Hessian products there.  A call with
     ``token=None`` is one-shot: it caches nothing."""
     return {"user": {}}
 

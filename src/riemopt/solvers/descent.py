@@ -18,7 +18,7 @@ import functools
 import math
 from typing import Optional
 
-from ..exceptions import DegenerateStepError, RankCollapseError
+from ..exceptions import DegenerateStepError
 from ..problem import ProblemDef, get_cost, get_gradient, new_token
 from .core import (
     STEP_COLLAPSE,
@@ -42,7 +42,7 @@ def _make_ray(p, M, x, d, store):
             y = M.retract(x, d, t)
             tok = new_token()
             f = get_cost(p, y, store, tok)
-        except (DegenerateStepError, RankCollapseError):
+        except DegenerateStepError:
             return math.inf
         trials[t] = y, tok
         return f

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..exceptions import DegenerateStepError, RankCollapseError
+from ..exceptions import DegenerateStepError
 from ..manifolds.base import array_lincomb, check_shape, trace_inner
 from ..problem import ProblemDef, get_cost, hessian_at, new_token
 from .core import NONFINITE, RunResult, SolverOptions, iterate
@@ -36,7 +36,6 @@ def tcg_subsolver(
     opts: Optional[SolverOptions] = None,
     store=None,
     token=None,
-    products: Optional[list] = None,
 ):
     """Truncated CG on the trust-region model at x.
 
@@ -47,9 +46,8 @@ def tcg_subsolver(
     stop (inexact Newton).  theta is ``tcg_theta`` with an exact Hessian
     and 0 otherwise, since finite-difference noise defeats a superlinear
     target.  An r0 within the floor (a zero gradient) returns the zero step,
-    ``TCG_RESIDUAL`` and 0 inner iterations, with no Hessian product.
-    Without a preconditioner z = r, so one inner product <r, r> gives both
-    ||r|| and <r, z>.
+    ``TCG_RESIDUAL`` and 0 inner iterations; a <r0, r0> or <r0, z0> that is
+    not finite raises ValueError.  Neither computes a Hessian product.
 
     The Hessian route is resolved once per call (``hessian_at``).  One loop
     runs the Steihaug-Toint recurrence over one of two vector algebras,
@@ -63,23 +61,24 @@ def tcg_subsolver(
     descriptor (fixed-rank and product tangents, or callables wrapped for
     tracing) goes through ``M.inner`` and ``M.lincomb``.  Either way the
     loop never writes into g, into a direction d, or into any array a
-    callable returned or ``products`` holds (a Hessian may return its
-    input): only eta, H eta and r, which are its own, change in place.
+    callable returned or the token holds (a Hessian may return its input):
+    only eta, H eta and r, which are its own, change in place.
 
-    ``products``, when given, holds the pairs (H d_j, <d_j, H d_j>) of
-    earlier calls at the same x and g, by inner step j; steps beyond it are
-    computed and appended.  Delta enters only the boundary test, so the
-    directions d_j do not depend on it: a later call at the same x and g
-    repeats the same d_j in the same order, reads their products back and
-    returns what a fresh call would, bit for bit.  A call with a smaller
-    Delta stops at or before the step where the first one stopped, so it
-    computes no product at all.  The products are kept as the Hessian
-    returned them, so a Hessian callable must not reuse its output array.
+    A token that caches g itself (``token["grad"] is g``, as the
+    trust-region step passes) keeps the pairs (H d_j, <d_j, H d_j>) by
+    inner step j, as it keeps the Hessian conversion: a call reads back the
+    pairs of earlier calls at x and appends the steps beyond them.  Delta
+    enters only the boundary test, so the directions d_j do not depend on
+    it and the read-back returns what a fresh call would, bit for bit; a
+    call with a smaller Delta computes no product at all.  The pairs are
+    kept as the Hessian returned them: it must not reuse its output array.
     """
     opts = opts if opts is not None else SolverOptions()
     M = p.manifold
     precond = p.precond
     hess = hessian_at(p, x, store, token)
+    memo = token is not None and token.get("grad") is g
+    products = token.setdefault("tcg_products", []) if memo else None
     kappa = opts.tcg_kappa
     theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
@@ -110,6 +109,8 @@ def tcg_subsolver(
             return M.lincomb(x, -1.0, z, beta, d)
 
     r_r = float(inner(r, r))
+    if not math.isfinite(r_r):
+        raise ValueError(f"tcg_subsolver: <g, g> is {r_r}, not finite")
     norm_r0 = math.sqrt(max(r_r, 0.0))
     floor = opts.tol_grad_norm / 100
     if norm_r0 <= floor:
@@ -121,6 +122,8 @@ def tcg_subsolver(
         z = precond(x, r)
         check(x, z, "inner: second tangent")
         r_z = float(inner(r, z))
+        if not math.isfinite(r_z):
+            raise ValueError(f"tcg_subsolver: <g, P g> is {r_z}, not finite")
     d = M.lincomb(x, -1.0, z)
     e_pe = 0.0
     e_pd = 0.0
@@ -196,14 +199,14 @@ def trust_regions(
     """Riemannian trust-region solver (globally convergent; locally
     quadratic when an exact Hessian is available).
 
-    The tCG's Hessian-vector products at a point are kept in the point's
-    cache entry (see ``tcg_subsolver``): after a rejected step, or a
-    retraction that raised ``DegenerateStepError`` or ``RankCollapseError``,
-    the rerun at the same point with a smaller Delta computes no product
-    again, and the products go with the entry when a step is accepted.  The
-    rule itself keeps only Delta.  A step whose model decrease is NaN or
-    infinite (a non-finite Hessian product) ends the run as ``nonfinite``
-    before it retracts.
+    The tCG keeps its Hessian-vector products in the point's token (see
+    ``tcg_subsolver``), so the rerun at a point after a rejected step
+    computes none again; the rule itself keeps only Delta.  A step whose
+    model decrease is NaN or infinite ends the run as ``nonfinite`` before
+    it retracts.  A retraction or cost that raises ``DegenerateStepError``
+    scores f_prop = +inf, which rho rejects: Delta / 4 and rho = -inf at the
+    same point whenever model decrease + regularization > 0, as for every
+    Steihaug-Toint step of a symmetric Hessian.
     """
     M = p.manifold
 
@@ -213,9 +216,7 @@ def trust_regions(
 
         def step(x, tok, f, g, gnorm):
             nonlocal delta
-            eta, h_eta, tcg_stop, inner = tcg_subsolver(
-                p, x, g, delta, opts, store, tok, tok.setdefault("tcg_products", [])
-            )
+            eta, h_eta, tcg_stop, inner = tcg_subsolver(p, x, g, delta, opts, store, tok)
             model_decrease = -(M.inner(x, g, eta) + 0.5 * M.inner(x, eta, h_eta))
             if not math.isfinite(model_decrease):
                 # A NaN or infinite Hessian product: rho would reject every
@@ -225,10 +226,8 @@ def trust_regions(
                 x_prop = M.retract(x, eta, 1.0)
                 tok_prop = new_token()
                 f_prop = get_cost(p, x_prop, store, tok_prop)
-            except (DegenerateStepError, RankCollapseError):
-                # Step left the representable set; shrink and retry.
-                delta /= 4.0
-                return x, tok, 0.0, inner, delta, -math.inf
+            except DegenerateStepError:  # the step left the representable set
+                f_prop = math.inf
 
             reg = opts.rho_regularization * max(1.0, abs(f))
             rho = (f - f_prop + reg) / (model_decrease + reg)

@@ -355,13 +355,12 @@ def test_tcg_reads_stored_products_back_bit_for_bit():
     points += [M.rand_point(rng) for _ in range(3)]
     stops = set()
     for x in points:
-        g = get_gradient(p, x)
-        products = []
-        tcg_subsolver(p, x, g, 1e6, products=products)
+        tok = new_token()
+        g = get_gradient(p, x, token=tok)
+        tcg_subsolver(p, x, g, 1e6, token=tok)
         for delta in (1e3, 0.3, 1e-3):
             store = Counters()
-            eta, h_eta, stop, inner = tcg_subsolver(p, x, g, delta, store=store,
-                                                    products=products)
+            eta, h_eta, stop, inner = tcg_subsolver(p, x, g, delta, store=store, token=tok)
             eta_0, h_eta_0, stop_0, inner_0 = tcg_subsolver(p, x, g, delta)
             assert store.hess_evals == 0
             assert (stop, inner) == (stop_0, inner_0)
@@ -369,6 +368,31 @@ def test_tcg_reads_stored_products_back_bit_for_bit():
             assert np.array_equal(h_eta, h_eta_0)
             stops.add(stop)
     assert stops == {TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE, TCG_RESIDUAL}
+
+
+@pytest.mark.parametrize("cached", ["nothing", "a copy of g"])
+def test_tcg_keeps_no_products_in_a_token_that_does_not_cache_g(cached):
+    # Only a token whose cached gradient is the very g of the call gets the
+    # products: the memo is keyed by the point and that gradient.
+    p, _ = rayleigh_problem(12, seed=21)
+    x = p.manifold.rand_point(np.random.default_rng(4))
+    g = get_gradient(p, x)
+    tok = new_token()
+    if cached == "a copy of g":
+        assert np.array_equal(get_gradient(p, x, token=tok), g)
+    evals = []
+    for _ in range(2):
+        store = Counters()
+        tcg_subsolver(p, x, g, 1e-3, store=store, token=tok)
+        evals.append(store.hess_evals)
+    assert "tcg_products" not in tok
+    assert evals[0] == evals[1] > 0  # the rerun computes its products again
+    same = new_token()
+    g_same = get_gradient(p, x, token=same)
+    store = Counters()
+    for _ in range(2):
+        tcg_subsolver(p, x, g_same, 1e-3, store=store, token=same)
+    assert len(same["tcg_products"]) == store.hess_evals == evals[0]
 
 
 def test_tcg_identity_preconditioner_matches_none():
@@ -418,18 +442,29 @@ def _diagonal_precond(M, seed):
     return precond
 
 
-def _loops_agree(p, x, g, delta, products_pair):
-    """One tCG call on each algebra; both must agree bit for bit."""
+def _token_pair(p, x):
+    """A token of x for p and one for ``_generic(p)``, each caching the
+    gradient at x (the same bits), so the tCG keeps its products there."""
+    pair = (new_token(), new_token())
+    for q, tok in zip((p, _generic(p)), pair):
+        get_gradient(q, x, token=tok)
+    return pair
+
+
+def _loops_agree(p, x, delta, tokens):
+    """One tCG call on each algebra, each given its token and the gradient
+    that token caches; both must agree bit for bit, stored products too."""
     out = []
-    for q, products in zip((p, _generic(p)), products_pair):
+    for q, tok in zip((p, _generic(p)), tokens):
         store = Counters()
-        eta, h_eta, stop, inner = tcg_subsolver(q, x, g, delta, store=store, products=products)
+        g = get_gradient(q, x, token=tok)
+        eta, h_eta, stop, inner = tcg_subsolver(q, x, g, delta, store=store, token=tok)
         out.append((eta, h_eta, stop, inner, store.hess_evals))
     (eta, h_eta, *rest), (eta_g, h_eta_g, *rest_g) = out
     assert rest == rest_g
     assert np.array_equal(eta, eta_g)
     assert np.array_equal(h_eta, h_eta_g)
-    a, b = products_pair
+    a, b = (tok["tcg_products"] for tok in tokens)
     assert len(a) == len(b)
     assert all(np.array_equal(ha, hb) and da == db for (ha, da), (hb, db) in zip(a, b))
     return rest[0], rest[2]
@@ -458,21 +493,20 @@ def test_tcg_array_loop_matches_generic_loop(M, precond, monkeypatch):
     x_star = trust_regions(p, opts=SolverOptions(clock=lambda: 0.0), rng=rng).x_final
     stops = set()
     for x in [M.retract(x_star, M.rand_tangent(x_star, rng), 0.1), M.rand_point(rng)]:
-        g = get_gradient(p, x)
-        g_before = g.copy()
+        g_before = get_gradient(p, x).copy()
         for delta in (10.0 * M.typical_dist, M.typical_dist / 8.0, 1e-3):
-            products_pair = ([], [])
+            tokens = _token_pair(p, x)
             checked.clear()
-            stop, hess_evals = _loops_agree(p, x, g, delta, products_pair)
-            assert hess_evals == len(products_pair[0]) > 0
+            stop, hess_evals = _loops_agree(p, x, delta, tokens)
+            assert hess_evals == len(tokens[0]["tcg_products"]) > 0
             assert checked.count("inner: first tangent") == 1
             stops.add(stop)
             # A rerun at delta / 4 reads the stored products back.
             checked.clear()
-            stop, hess_evals = _loops_agree(p, x, g, delta / 4.0, products_pair)
+            stop, hess_evals = _loops_agree(p, x, delta / 4.0, tokens)
             assert hess_evals == 0
             assert checked.count("inner: first tangent") == 1
-        assert np.array_equal(g, g_before)
+            assert all(np.array_equal(t["grad"], g_before) for t in tokens)
     assert stops & {TCG_RESIDUAL, TCG_MAX_INNER} and TCG_BOUNDARY in stops
 
 
@@ -496,10 +530,11 @@ def test_tcg_array_loop_with_a_hessian_that_returns_its_input(precond):
     g_before = g.copy()
     steps = []
     for delta in (1e3, 1e-2):
-        products_pair = ([], [])
-        _loops_agree(p, x, g, delta, products_pair)
-        _loops_agree(p, x, g, delta / 4.0, products_pair)
-        steps.append(len(products_pair[0]))
+        tokens = _token_pair(p, x)
+        _loops_agree(p, x, delta, tokens)
+        _loops_agree(p, x, delta / 4.0, tokens)
+        steps.append(len(tokens[0]["tcg_products"]))
+        assert all(np.array_equal(t["grad"], g_before) for t in tokens)
     assert steps[1] == 1  # the boundary
     assert (steps[0] > 1) == (precond == "diagonal")
     tcg_subsolver(p, x, g, 1e3, store=store, token=tok)

@@ -6,6 +6,7 @@ import io
 import json
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from riemopt.maxcut import (
     run_cli,
     solve_rank_r,
 )
+from riemopt.maxcut import main as maxcut_main
 from riemopt.maxcut import solve as maxcut_solve
 from riemopt.maxcut.solve import next_rank
 from riemopt.problem import Counters, new_token
@@ -546,6 +548,41 @@ def test_warm_start_steps_along_negative_eigenvectors_only():
         assert get_cost(p, p.manifold.retract(y, z, t)) > get_cost(p, y)
 
 
+def _top_eigenvectors(L, Y, k):
+    """The eigenvectors of S's k largest eigenvalues, largest first: a step
+    along them raises the cost to second order."""
+    return np.linalg.eigh(_dual_matrix(L, Y))[1][:, ::-1][:, :k]
+
+
+def test_warm_start_falls_back_to_a_random_tangent():
+    # At a non-critical Y the step along eigenvectors of positive
+    # eigenvalues raises the cost at every length; at this seed the random
+    # tangent lowers it.
+    L = laplacian(_weighted_gnp(20, seed=1))
+    Y = build_problem(L, 3).manifold.rand_point(np.random.default_rng(5))
+    V = _top_eigenvectors(L, Y, 3)
+    p = build_problem(L, 6)
+    y = np.hstack([Y, np.zeros((20, 3))])
+    z = np.hstack([np.zeros((20, 3)), V])
+    for t in (1e-2, 1e-3, 1e-4):
+        assert get_cost(p, p.manifold.retract(y, z, t)) > get_cost(p, y)
+    x0, used = maxcut_solve._step_off(L, Y, 3, V, np.random.default_rng(0))
+    assert used == 0
+    assert get_cost(p, x0) < get_cost(p, y)
+
+
+def test_warm_start_at_a_certified_point_returns_the_padded_point():
+    # No step lowers the cost at an optimum: neither the eigenvectors nor
+    # the random tangent move it.
+    L, _, _ = _saddle_at_rank_6()
+    Y, _ = solve_rank_r(L, 12, rng=np.random.default_rng(1))
+    assert certify(L, Y)[0]
+    x0, used = maxcut_solve._step_off(L, Y, 6, _top_eigenvectors(L, Y, 6),
+                                      np.random.default_rng(0))
+    assert used == 0
+    np.testing.assert_array_equal(x0, np.hstack([Y, np.zeros((20, 6))]))
+
+
 def test_escalation_does_not_run_to_n_from_a_saddle(monkeypatch):
     # The first rank "solves" to the saddle; the warm start must leave it.
     L, Y, run = _saddle_at_rank_6()
@@ -650,6 +687,22 @@ def test_cli_solve_json(tmp_path, capsys):
         "n", "rank_used", "cost", "cut", "bound", "certified", "seed",
         "iterations", "time_seconds",
     ]
+
+
+@pytest.mark.parametrize("graph, code", [("k3", 0), ("missing", 1)])
+def test_console_script_exits_with_the_cli_code(tmp_path, monkeypatch, capsys, graph, code):
+    # main() is the riemopt-maxcut script of pyproject.toml.
+    path = _write_k3(tmp_path) if graph == "k3" else str(tmp_path / "missing.txt")
+    monkeypatch.setattr(sys, "argv", ["riemopt-maxcut", "solve", "--graph", path,
+                                      "--escalate", "--out", "json", "--timing", "none"])
+    with pytest.raises(SystemExit) as exit_:
+        maxcut_main()
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["certified"] is True
+    else:
+        assert out == "" and err.startswith("error:")
 
 
 def test_cli_iterations_do_not_count_the_iteration_zero_record(tmp_path, capsys):

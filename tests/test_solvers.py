@@ -25,7 +25,7 @@ from riemopt import (
     tcg_subsolver,
     trust_regions,
 )
-from riemopt.exceptions import DegenerateStepError
+from riemopt.exceptions import DegenerateStepError, RankCollapseError
 from riemopt.problem import Counters
 from riemopt.solvers.core import (
     GRADIENT_TOLERANCE,
@@ -486,6 +486,39 @@ def test_tcg_at_a_zero_gradient_returns_the_zero_step(M):
     assert M.norm(x, eta) == 0.0 and M.norm(x, h_eta) == 0.0
 
 
+_NONFINITE_LOOPS = {
+    "array-loop": (euclidean_factory(3), lambda a, b, c: np.array([a, b, c])),
+    "generic-loop": (product_factory([euclidean_factory(2), euclidean_factory(1)]),
+                     lambda a, b, c: (np.array([a, b]), np.array([c]))),
+}
+
+
+@pytest.mark.parametrize("entry", [1e200, math.inf, math.nan])
+@pytest.mark.parametrize("loop", list(_NONFINITE_LOOPS))
+def test_tcg_rejects_a_gradient_whose_squared_norm_is_not_finite(loop, entry):
+    # <g, g> overflows for [1e200, 1e200, 0], and the boundary step would
+    # be inf / inf, a NaN step: the call raises before any Hessian product.
+    M, tangent = _NONFINITE_LOOPS[loop]
+    p = make_quadratic_problem(M, seed=2)
+    x = M.rand_point(np.random.default_rng(3))
+    store = Counters()
+    with pytest.raises(ValueError, match=r"<g, g> is (inf|nan), not finite"):
+        tcg_subsolver(p, x, tangent(entry, entry, 0.0), 1.0, store=store)
+    assert store.hess_evals == 0
+
+
+@pytest.mark.parametrize("loop", list(_NONFINITE_LOOPS))
+def test_tcg_rejects_a_preconditioned_gradient_whose_product_is_not_finite(loop):
+    M, tangent = _NONFINITE_LOOPS[loop]
+    p = dataclasses.replace(make_quadratic_problem(M, seed=2),
+                            precond=lambda x, u: M.lincomb(x, math.inf, u))
+    x = M.rand_point(np.random.default_rng(3))
+    store = Counters()
+    with pytest.raises(ValueError, match=r"<g, P g> is inf, not finite"):
+        tcg_subsolver(p, x, tangent(1.0, 2.0, 3.0), 1.0, store=store)
+    assert store.hess_evals == 0
+
+
 @pytest.mark.parametrize("kappa", [1.0, 2.0, math.nan])
 def test_tr_with_a_tcg_kappa_of_one_or_more_still_steps(kappa):
     # Such a kappa lifts the superlinear target to ||r0|| or above once
@@ -770,6 +803,30 @@ def test_a_degenerate_trial_step_costs_infinity(solver):
     opts = SolverOptions(line_search=line_search, clock=lambda: 0.0)
     res = solver(p, np.array([3.0, -2.0, 1.0]), opts)
     assert math.inf in values
+    assert res.stop_reason == GRADIENT_TOLERANCE
+
+
+def test_tr_scores_a_collapsed_retraction_as_an_infinite_cost():
+    # A RankCollapseError is a DegenerateStepError: the step costs +inf,
+    # and the rho rule rejects it at the same point with Delta / 4.
+    assert issubclass(RankCollapseError, DegenerateStepError)
+    p, _ = rayleigh_problem(8, seed=33)
+    M = p.manifold
+    points = []  # the point of each retraction
+
+    def retract(x, u, t=1.0):
+        points.append(x)
+        if len(points) == 2:
+            raise RankCollapseError("second retraction")
+        return M.retract(x, u, t)
+
+    p = dataclasses.replace(p, manifold=dataclasses.replace(M, retract=retract))
+    res = trust_regions(p, opts=SolverOptions(clock=lambda: 0.0), rng=np.random.default_rng(34))
+    before, failed = res.history[1:3]
+    assert failed.rho == -math.inf
+    assert failed.delta == before.delta / 4.0
+    assert (failed.cost, failed.grad_norm, failed.step_size) == (before.cost, before.grad_norm, 0.0)
+    assert points[2] is points[1]  # the rerun retracts from the same point
     assert res.stop_reason == GRADIENT_TOLERANCE
 
 
