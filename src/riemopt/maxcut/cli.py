@@ -57,11 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve the relaxation and round to a cut")
     solve.add_argument("--graph", required=True, help="edge-list file")
-    solve.add_argument("--rank", type=_POSITIVE_INT, default=2, help="relaxation rank r")
+    solve.add_argument("--rank", type=_POSITIVE_INT, help="relaxation rank r (default 2); "
+                       "with --escalate, the first rank, at least 2 (default 4)")
     solve.add_argument(
         "--escalate", action="store_true", help="increase r until certified"
     )
-    solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials per rank added")
+    solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials per column added")
     solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
     solve.add_argument("--seed", type=_SEED, default=0)
     solve.add_argument("--solver", choices=tuple(SOLVERS), default="tr")
@@ -125,10 +126,12 @@ def run_cli(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.rank > g.n and not (args.command == "solve" and args.escalate):
-        print(f"error: --rank {args.rank} exceeds the {g.n} nodes of the graph",
-              file=sys.stderr)
-        return 1
+    if not (args.command == "solve" and args.escalate):
+        args.rank = args.rank or 2  # a plain solve's default
+        if args.rank > g.n:
+            print(f"error: --rank {args.rank} exceeds the {g.n} nodes of the graph",
+                  file=sys.stderr)
+            return 1
     rng = np.random.default_rng(args.seed)
 
     if args.command == "check":
@@ -152,7 +155,7 @@ def run_cli(argv=None) -> int:
     if args.escalate:
         result = rank_escalation(
             L,
-            r0=max(args.rank, 2),
+            **({} if args.rank is None else {"r0": max(args.rank, 2)}),
             opts=opts,
             rng=rng,
             trials=args.trials,

@@ -173,7 +173,7 @@ def next_rank(r: int, n: int) -> int:
 
 def rank_escalation(
     L: np.ndarray,
-    r0: int = 2,
+    r0: int = 4,
     opts: Optional[SolverOptions] = None,
     rng=None,
     trials: int = 100,
@@ -182,15 +182,18 @@ def rank_escalation(
 ) -> CutResult:
     """Escalate the relaxation rank until the dual certificate is PSD.
 
-    The ranks tried are r0 (capped at n), then ``next_rank`` of each until
-    one certifies or the rank reaches n.  At an uncertified point Y of
-    rank r, critical or not (a solve may stop at ``max_iter``), the next
-    rank r + k is warm-started from Y padded with k zero columns, stepped
-    along up to k eigenvectors of the certificate's negative eigenvalues,
-    one per new column (``_step_off``; a random tangent if that step does
-    not lower the cost).  Each rank's Y is rounded with ``trials``
-    hyperplanes per column added by the step that reached it (``trials``
-    for the first rank): as much rounding per column added as a schedule
+    The ranks tried are r0 capped at n (so at the default r0 = 4 a graph
+    of at most 4 nodes runs one solve, at rank n), then ``next_rank`` of
+    each until one certifies or the rank reaches n.  A rank-2 start rarely
+    certifies and costs more than its warm start saves the next rank, so
+    the default skips it.  At an uncertified point Y of rank r, critical or
+    not (a solve may stop at ``max_iter``), the next rank r + k is
+    warm-started from Y padded with k zero columns, stepped along up to k
+    eigenvectors of the certificate's negative eigenvalues, one per new
+    column (``_step_off``; a random tangent if that step does not lower
+    the cost).  Each rank's Y is rounded with ``trials`` hyperplanes per
+    column added by the step that reached it, every column of the first
+    rank counting as added: as much rounding per column as a schedule
     that adds one column per rank draws.  The result carries the last
     rank's bound, which holds for every cut whether it certified or not.
 
@@ -207,7 +210,7 @@ def rank_escalation(
     histories: List[RunResult] = []
     best_s, best_val = None, -np.inf
     x0 = None
-    r, added = min(r0, n), 1
+    r = added = min(r0, n)
     while True:
         Y, run = solve_rank_r(L, r, opts, rng, x0=x0, solver=solver)
         histories.append(run)

@@ -378,7 +378,7 @@ def test_escalation_k3():
 
 def test_escalation_c4_certified_at_rank2():
     L = laplacian(c4())
-    res = rank_escalation(L, rng=np.random.default_rng(15))
+    res = rank_escalation(L, r0=2, rng=np.random.default_rng(15))
     assert res.certified
     assert res.rank_used == 2
     assert res.cut_value == pytest.approx(4.0)
@@ -412,7 +412,7 @@ def test_escalation_actually_escalates():
     # uncertified critical point, so the certificate eigenvector step and a
     # rank-4 warm start (n = 10: r_BP = 4) are exercised.
     L = laplacian(_weighted_gnp(10, seed=0))
-    res = rank_escalation(L, rng=np.random.default_rng(2), trials=100)
+    res = rank_escalation(L, r0=2, rng=np.random.default_rng(2), trials=100)
     assert [run.x_final.shape[1] for run in res.histories] == [2, 4]
     assert res.rank_used == 4
     assert res.certified
@@ -431,7 +431,7 @@ def test_escalation_carries_on_past_noncritical_ranks():
     # stops at n with an uncertified bound.
     L = laplacian(_ring_with_chords(20, seed=1))
     for max_iter, ranks, certified in ((7, [2, 4, 6, 12], True), (5, [2, 4, 6, 12, 20], False)):
-        res = rank_escalation(L, opts=SolverOptions(max_iter=max_iter),
+        res = rank_escalation(L, r0=2, opts=SolverOptions(max_iter=max_iter),
                               rng=np.random.default_rng(2))
         first = res.histories[0]
         assert first.stop_reason == "max_iter"
@@ -480,7 +480,9 @@ def test_escalation_visits_the_rank_schedule(monkeypatch, n, r0, ranks):
     assert res.rank_used == ranks[-1] and not res.certified
 
 
-def test_escalation_rounds_with_trials_per_column_added(monkeypatch):
+def _rounding_trials(monkeypatch, n, **kwargs):
+    """(rank, trials) of each round_cut call of an escalation on a ring with
+    chords that certifies at no rank, so it runs to rank n."""
     trials_seen = []
     real = maxcut_solve.round_cut
 
@@ -490,9 +492,32 @@ def test_escalation_rounds_with_trials_per_column_added(monkeypatch):
 
     monkeypatch.setattr(maxcut_solve, "round_cut", spy)
     monkeypatch.setattr(maxcut_solve, "certify", _never_certified)
-    L = laplacian(_ring_with_chords(20, seed=3))
-    rank_escalation(L, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4), trials=7)
-    assert trials_seen == [(2, 7), (4, 14), (6, 14), (12, 42), (20, 56)]
+    L = laplacian(_ring_with_chords(n, seed=3))
+    rank_escalation(L, **kwargs, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4),
+                    trials=7)
+    return trials_seen
+
+
+def test_escalation_rounds_with_trials_per_column_added(monkeypatch):
+    trials_seen = _rounding_trials(monkeypatch, 20, r0=2)
+    assert trials_seen == [(2, 14), (4, 14), (6, 14), (12, 42), (20, 56)]
+
+
+@pytest.mark.parametrize("graph, ranks", [(k3, [3]), (c4, [4]), (k5, [4])])
+def test_escalation_starts_at_rank_four_capped_at_n(graph, ranks):
+    res = rank_escalation(laplacian(graph()), rng=np.random.default_rng(15))
+    assert [run.x_final.shape[1] for run in res.histories] == ranks
+    assert res.rank_used == ranks[-1] and res.certified
+
+
+@pytest.mark.parametrize("n, kwargs, expected", [
+    (20, {}, [(4, 28), (6, 14), (12, 42), (20, 56)]),
+    (20, {"r0": 3}, [(3, 21), (6, 21), (12, 42), (20, 56)]),
+    (3, {}, [(3, 21)]),
+])
+def test_escalation_rounds_the_first_rank_with_trials_per_column(monkeypatch, n, kwargs,
+                                                                  expected):
+    assert _rounding_trials(monkeypatch, n, **kwargs) == expected
 
 
 def _saddle_at_rank_6():
@@ -605,7 +630,7 @@ def test_escalation_does_not_run_to_n_from_a_saddle(monkeypatch):
 def test_escalation_logs_one_debug_record_per_rank(caplog):
     L = laplacian(_weighted_gnp(10, seed=0))
     with caplog.at_level(logging.DEBUG, logger="riemopt.maxcut.solve"):
-        res = rank_escalation(L, rng=np.random.default_rng(2))
+        res = rank_escalation(L, r0=2, rng=np.random.default_rng(2))
     messages = [r.getMessage() for r in caplog.records if r.name == "riemopt.maxcut.solve"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "riemopt.maxcut.solve")
     assert len(messages) == len(res.histories) == 2
@@ -943,6 +968,41 @@ def test_cli_escalation_accepts_rank_above_n(tmp_path, capsys):
                     "--out", "json", "--timing", "none"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["rank_used"] == 3
+
+
+@pytest.mark.parametrize("rank, first", [(None, 4), ("2", 2), ("1", 2), ("3", 3)])
+def test_cli_escalation_starts_at_rank_four_unless_given(tmp_path, capsys, monkeypatch,
+                                                         rank, first):
+    # Without --rank, --escalate takes rank_escalation's r0; an explicit
+    # --rank r still starts at max(r, 2).
+    ranks = []
+    real = maxcut_solve.solve_rank_r
+
+    def spy(L, r, *args, **kwargs):
+        ranks.append(r)
+        return real(L, r, *args, **kwargs)
+
+    monkeypatch.setattr(maxcut_solve, "solve_rank_r", spy)
+    g = _ring_with_chords(20, seed=1)
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{i} {j} {w}\n" for i, j, w in g.edges))
+    argv = ["solve", "--graph", str(graph), "--escalate", "--seed", "3", "--out", "json",
+            "--timing", "none"] + ([] if rank is None else ["--rank", rank])
+    assert run_cli(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert ranks[0] == first and out["rank_used"] == ranks[-1]
+    assert out["certified"] is True
+
+
+def test_cli_plain_solve_defaults_to_rank_two_on_a_triangle(tmp_path, capsys):
+    # The escalation default of 4 exceeds K3's 3 nodes; a plain solve keeps
+    # rank 2, so it must not be rejected.
+    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--out", "json",
+                    "--timing", "none"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    out = json.loads(captured.out)
+    assert out["rank_used"] == 2 and out["cut"] == pytest.approx(2.0)
 
 
 def test_certify_takes_one_product_with_l():
