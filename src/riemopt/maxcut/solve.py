@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +33,8 @@ from ..solvers import (
 from .graph import cut_value_from_signs
 
 logger = logging.getLogger(__name__)
+
+CERTIFIED = "certified"  # the stop reason of a solve that the certificate ended
 
 SOLVERS = {
     "tr": trust_regions,
@@ -65,9 +67,9 @@ def build_problem(L: np.ndarray, r: int) -> ProblemDef:
     power of two is exact, so Lh @ Y has the bits of (L @ Y) * -0.5 (up to
     subnormal products, which need weights below about 1e-290), and
     cost(Y) = <Y, Lh Y>/2.  The product Lh Y is stored in the per-point
-    cache so the cost and the gradient share one multiply; the solvers'
-    cache store keeps egrad per point, so Hessian-vector products at that
-    point cost one Lh U each.  Every product is a plain ``Lh @ ·``, and
+    cache so the cost and the gradient share one multiply; the point's
+    token keeps egrad, so Hessian-vector products at that point cost one
+    Lh U each.  Every product is a plain ``Lh @ ·``, and
     Lh keeps the ndarray subclass of L, so a ``CountingMatrix`` view of L
     sees (and counts) each one.
     """
@@ -143,12 +145,52 @@ def certify(
     finite (ValueError otherwise), as the CLI's ``--tol``.
     """
     _check_tol("certify", tol)
-    lyy = (L @ Y) * Y  # row i sums to d_i; all of it to trace(L Y Y')
-    evals, evecs = np.linalg.eigh(np.diag(np.sum(lyy, axis=1)) - L)  # ascending
+    lyy, S = _dual(L, Y)
+    evals, evecs = np.linalg.eigh(S)  # ascending
     lam_min = float(evals[0])
-    threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
+    threshold = _threshold(L, tol)
     bound = (float(np.sum(lyy)) - Y.shape[0] * min(lam_min, 0.0)) / 4.0
     return lam_min >= threshold, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
+
+
+def _dual(L: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(L Y) * Y, whose row i sums to d_i and all of it to trace(L Y Y'),
+    and the dual matrix S = Diag(d) - L."""
+    lyy = (L @ Y) * Y
+    return lyy, np.diag(np.sum(lyy, axis=1)) - L
+
+
+def _threshold(L: np.ndarray, tol: float) -> float:
+    """The least lambda_min(S) that certifies: -tol ||L||_1 (-tol when L = 0)."""
+    return -tol * (float(np.linalg.norm(L, 1)) or 1.0)
+
+
+def _cholesky_certifies(L: np.ndarray, Y: np.ndarray, threshold: float) -> bool:
+    """Whether S - threshold I at Y has a Cholesky factor, i.e. lambda_min(S)
+    > threshold up to rounding: a tenth or less of ``certify``'s ``eigh``
+    time (n = 40 to 2000, one BLAS thread), but no lambda_min or bound."""
+    S = _dual(L, Y)[1]
+    S.flat[:: S.shape[0] + 1] -= threshold
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certificate_stop(L: np.ndarray, tol: float, opts: SolverOptions):
+    """An escalating solve's stop callback: the caller's own first, then, at
+    gradient norms up to sqrt(``tol_grad_norm``), the Cholesky test of
+    ``certify``'s threshold, which ends the solve as ``certified``."""
+    user, gate, threshold = opts.stop_callback, math.sqrt(opts.tol_grad_norm), _threshold(L, tol)
+
+    def stop(record, Y):
+        verdict = user(record, Y) if user is not None else None
+        if verdict or record.grad_norm > gate or not _cholesky_certifies(L, Y, threshold):
+            return verdict
+        return CERTIFIED
+
+    return stop
 
 
 def _check_tol(who: str, tol: float) -> None:
@@ -186,16 +228,19 @@ def rank_escalation(
     of at most 4 nodes runs one solve, at rank n), then ``next_rank`` of
     each until one certifies or the rank reaches n.  A rank-2 start rarely
     certifies and costs more than its warm start saves the next rank, so
-    the default skips it.  At an uncertified point Y of rank r, critical or
-    not (a solve may stop at ``max_iter``), the next rank r + k is
-    warm-started from Y padded with k zero columns, stepped along up to k
-    eigenvectors of the certificate's negative eigenvalues, one per new
-    column (``_step_off``; a random tangent if that step does not lower
-    the cost).  Each rank's Y is rounded with ``trials`` hyperplanes per
-    column added by the step that reached it, every column of the first
-    rank counting as added: as much rounding per column as a schedule
-    that adds one column per rank draws.  The result carries the last
-    rank's bound, which holds for every cut whether it certified or not.
+    the default skips it.  A rank's solve also ends once a Cholesky test
+    of the certificate passes (``_certificate_stop``); ``certify`` then
+    decides the verdict, lambda_min and the bound.  At an uncertified
+    point Y of rank r, critical or not (a solve may stop at ``max_iter``),
+    the next rank r + k is warm-started from Y padded with k zero columns,
+    stepped along up to k eigenvectors of the certificate's negative
+    eigenvalues, one per new column (``_step_off``; Y padded alone if that
+    step does not lower the cost).  Each rank's Y is rounded with
+    ``trials`` hyperplanes per column added by the step that reached it,
+    every column of the first rank counting as added: as much rounding per
+    column as a schedule that adds one column per rank draws.  The result
+    carries the last rank's bound, which holds for every cut whether it
+    certified or not.
 
     Each rank logs one DEBUG record to this module's logger: the rank, the
     solver's iterations, lambda_min, the eigenvectors the warm start used
@@ -206,6 +251,8 @@ def rank_escalation(
     _check_tol("rank_escalation", tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     n = L.shape[0]
+    opts = opts if opts is not None else SolverOptions()
+    opts = replace(opts, stop_callback=_certificate_stop(L, tol, opts))
 
     histories: List[RunResult] = []
     best_s, best_val = None, -np.inf
@@ -224,7 +271,7 @@ def rank_escalation(
         if not done:
             r_next = next_rank(r, n)
             added = r_next - r
-            x0, used = _step_off(L, Y, added, V, rng)
+            x0, used = _step_off(L, Y, added, V)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "rank %d: %d iterations, lambda_min %.6e, %d eigenvectors used, certified %s",
@@ -242,9 +289,7 @@ def rank_escalation(
         r = r_next
 
 
-def _step_off(
-    L: np.ndarray, Y: np.ndarray, k: int, V: np.ndarray, rng
-) -> Tuple[np.ndarray, int]:
+def _step_off(L: np.ndarray, Y: np.ndarray, k: int, V: np.ndarray) -> Tuple[np.ndarray, int]:
     """Warm start at rank r + k near the n x r point Y (unit rows).
 
     Y padded with k zero columns is y.  The first m = min(k, #columns of V)
@@ -255,23 +300,18 @@ def _step_off(
     Y.  Each eigenvalue below zero thus lowers the cost to second order,
     so only the certificate's negative eigenvectors go in.  The start is
     the first of the retracted steps of length 1e-2, 1e-3, 1e-4 along z
-    that lowers the cost, else along a random tangent; y itself when no
-    step does.  Returns the start and m, or 0 when the step along z was
-    not taken.
+    that lowers the cost; y itself when none does.  Returns the start and
+    m, or 0 when y is returned.
     """
     n, r = Y.shape
     p = build_problem(L, r + k)
-    M = p.manifold
     y = np.hstack([Y, np.zeros((n, k))])
     m = min(k, V.shape[1])
     z = np.zeros_like(y)
     z[:, r : r + m] = V[:, :m]
     f0 = get_cost(p, y)
-    for direction, used in ((z, m), (None, 0)):
-        if direction is None:
-            direction = M.rand_tangent(y, rng)
-        for t in (1e-2, 1e-3, 1e-4):
-            cand = M.retract(y, direction, t)
-            if get_cost(p, cand) < f0:
-                return cand, used
+    for t in (1e-2, 1e-3, 1e-4):
+        cand = p.manifold.retract(y, z, t)
+        if get_cost(p, cand) < f0:
+            return cand, m
     return y, 0

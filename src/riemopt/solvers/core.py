@@ -36,7 +36,11 @@ class SolverOptions:
     the only one when the fit fails or when it is below 0.1.  A
     ``line_search`` callable with signature ``(phi, phi0, slope, t0) ->
     (t, phi_t) or None`` replaces the default backtracking (and CG's
-    extrapolation, which only the default makes), with the same t0.  The
+    extrapolation, which only the default makes), with the same t0.
+    ``stats_callback(record)`` sees every record.  ``stop_callback(record,
+    x)``, asked after the other stopping rules, sees the record and the
+    current point; a truthy answer ends the run, with a string as the
+    run's ``stop_reason`` and any other value as ``user_stop``.  The
     ``clock`` is injectable so runs can produce deterministic timings.
     ``tol_grad_norm``, which also floors the tCG's residual target at a
     hundredth of it, and, when given, ``delta_bar`` and ``delta0`` must be
@@ -121,16 +125,21 @@ class RunResult:
     counters: dict = field(default_factory=dict)
 
 
-def shared_stopping(record: IterationRecord, opts: SolverOptions):
-    """Evaluate the standard stopping criteria, in fixed priority order."""
+def shared_stopping(record: IterationRecord, opts: SolverOptions, x=None):
+    """Evaluate the standard stopping criteria, in fixed priority order.
+
+    The stop callback, tried last, sees the record and the point ``x``.
+    """
     if record.grad_norm <= opts.tol_grad_norm and record.iteration >= opts.min_iter:
         return True, GRADIENT_TOLERANCE
     if record.iteration >= opts.max_iter:
         return True, MAX_ITER
     if record.elapsed_seconds >= opts.max_time_seconds:
         return True, MAX_TIME
-    if opts.stop_callback is not None and opts.stop_callback(record):
-        return True, USER_STOP
+    if opts.stop_callback is not None:
+        verdict = opts.stop_callback(record, x)
+        if verdict:
+            return True, verdict if isinstance(verdict, str) else USER_STOP
     return False, None
 
 
@@ -193,7 +202,7 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
         if not (math.isfinite(f) and math.isfinite(gnorm)):
             reason = NONFINITE
             break
-        stop, reason = shared_stopping(rec, opts)
+        stop, reason = shared_stopping(rec, opts, x)
         if stop:
             break
         if gnorm <= opts.tol_grad_norm:

@@ -558,7 +558,7 @@ def test_certify_returns_the_eigenvectors_below_the_threshold():
 def test_warm_start_steps_along_negative_eigenvectors_only():
     L, Y, _ = _saddle_at_rank_6()
     _, _, _, V = certify(L, Y)
-    x0, used = maxcut_solve._step_off(L, Y, 6, V, np.random.default_rng(3))
+    x0, used = maxcut_solve._step_off(L, Y, 6, V)
     p = build_problem(L, 12)
     y = np.hstack([Y, np.zeros((20, 6))])
     assert used == 1
@@ -579,31 +579,13 @@ def _top_eigenvectors(L, Y, k):
     return np.linalg.eigh(_dual_matrix(L, Y))[1][:, ::-1][:, :k]
 
 
-def test_warm_start_falls_back_to_a_random_tangent():
-    # At a non-critical Y the step along eigenvectors of positive
-    # eigenvalues raises the cost at every length; at this seed the random
-    # tangent lowers it.
-    L = laplacian(_weighted_gnp(20, seed=1))
-    Y = build_problem(L, 3).manifold.rand_point(np.random.default_rng(5))
-    V = _top_eigenvectors(L, Y, 3)
-    p = build_problem(L, 6)
-    y = np.hstack([Y, np.zeros((20, 3))])
-    z = np.hstack([np.zeros((20, 3)), V])
-    for t in (1e-2, 1e-3, 1e-4):
-        assert get_cost(p, p.manifold.retract(y, z, t)) > get_cost(p, y)
-    x0, used = maxcut_solve._step_off(L, Y, 3, V, np.random.default_rng(0))
-    assert used == 0
-    assert get_cost(p, x0) < get_cost(p, y)
-
-
 def test_warm_start_at_a_certified_point_returns_the_padded_point():
-    # No step lowers the cost at an optimum: neither the eigenvectors nor
-    # the random tangent move it.
+    # No step lowers the cost at an optimum: a step along eigenvectors of
+    # positive eigenvalues raises it, so Y comes back padded.
     L, _, _ = _saddle_at_rank_6()
     Y, _ = solve_rank_r(L, 12, rng=np.random.default_rng(1))
     assert certify(L, Y)[0]
-    x0, used = maxcut_solve._step_off(L, Y, 6, _top_eigenvectors(L, Y, 6),
-                                      np.random.default_rng(0))
+    x0, used = maxcut_solve._step_off(L, Y, 6, _top_eigenvectors(L, Y, 6))
     assert used == 0
     np.testing.assert_array_equal(x0, np.hstack([Y, np.zeros((20, 6))]))
 
@@ -683,6 +665,70 @@ def test_escalation_random_graphs_bound_sandwich():
         assert res.certified
         assert res.cut_value <= exact + 1e-9
         assert exact <= res.upper_bound + 1e-6
+
+
+@pytest.mark.parametrize("solver", ["sd", "cg", "tr"])
+def test_escalation_stops_the_certifying_rank_on_the_certificate(solver):
+    # Rank 2 is uncertified and runs to the gradient tolerance; rank 4
+    # certifies, and its solve ends on the Cholesky test, short of the
+    # tolerance but past the square-root gate.
+    L = laplacian(_weighted_gnp(20, seed=1))
+    res = rank_escalation(L, r0=2, rng=np.random.default_rng(2), solver=solver)
+    assert res.certified and res.rank_used == 4
+    assert [run.x_final.shape[1] for run in res.histories] == [2, 4]
+    assert [run.stop_reason for run in res.histories] == ["gradient_tolerance", "certified"]
+    assert 1e-6 < res.histories[-1].grad_norm_final <= 1e-3
+    assert certify(L, res.histories[-1].x_final)[0]
+    assert res.cut_value <= res.upper_bound
+
+
+def test_escalation_asks_the_callers_stop_callback_first():
+    seen = []
+
+    def stop(record, x):
+        seen.append(x.shape)
+        return "mine" if record.iteration == 2 else None
+
+    L = laplacian(_weighted_gnp(20, seed=1))
+    res = rank_escalation(L, r0=2, opts=SolverOptions(stop_callback=stop),
+                          rng=np.random.default_rng(2))
+    assert [run.stop_reason for run in res.histories] == ["mine"] * len(res.histories)
+    assert [run.history[-1].iteration for run in res.histories] == [2] * len(res.histories)
+    assert seen[:3] == [(20, 2)] * 3
+
+
+@st.composite
+def _small_graph(draw):
+    """G(n, p) on 2..40 nodes with unit or integer weights 1..9, drawn by a
+    seeded generator."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(i, j, float(rng.integers(1, 10)) if weighted else 1.0)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_small_graph(), st.sampled_from([2, 4]), st.integers(0, 2**32 - 1))
+def test_escalation_certificate_stop_keeps_the_certificate(g, r0, seed):
+    # Only the rank that certifies may end on the certificate; certify
+    # still holds where it ended, and the bound stays within the slack of
+    # the relaxation's value at the final Y.  A rank-2 start escalates
+    # more often.  The bound holds up to the eigensolver's rounding: on a
+    # single edge it can read 1 - 1e-16 against the cut 1.
+    L = laplacian(g)
+    tol = 1e-6
+    res = rank_escalation(L, r0=r0, rng=np.random.default_rng(seed), tol=tol)
+    for run in res.histories[:-1]:
+        assert run.stop_reason in ("gradient_tolerance", "max_iter")
+    Y = res.histories[-1].x_final
+    assert res.certified and certify(L, Y, tol)[0]
+    rounding = 1e-12 * max(1.0, float(np.abs(L).sum()))
+    assert res.cut_value <= res.upper_bound + rounding
+    value = float(np.sum((L @ Y) * Y)) / 4.0
+    assert res.upper_bound - value <= g.n * tol * np.linalg.norm(L, 1) / 4.0 + rounding
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -76,11 +76,15 @@ def test_shared_stopping_cases():
         True,
         MAX_TIME,
     )
-    opts_u = SolverOptions(stop_callback=lambda r: True)
+    opts_u = SolverOptions(stop_callback=lambda r, x: True)
     assert shared_stopping(IterationRecord(0, 1.0, 1.0, 0.0), opts_u) == (
         True,
         USER_STOP,
     )
+    # a string answer is the stop reason; a falsy one lets the run go on
+    opts_s = SolverOptions(stop_callback=lambda r, x: "found" if x > 0 else "")
+    assert shared_stopping(IterationRecord(0, 1.0, 1.0, 0.0), opts_s, 1) == (True, "found")
+    assert shared_stopping(IterationRecord(0, 1.0, 1.0, 0.0), opts_s, -1) == (False, None)
     # priority: gradient tolerance reported before max_iter
     assert shared_stopping(IterationRecord(1000, 1.0, 1e-9, 0.0), opts) == (
         True,
@@ -340,6 +344,26 @@ def test_sd_step_collapse():
     p = ProblemDef(manifold=M, cost=cost, egrad=lambda x: np.array([-1.0]))
     res = steepest_descent(p, x0=np.array([0.6]), opts=SolverOptions(max_iter=10))
     assert res.stop_reason in (STEP_COLLAPSE, MAX_ITER)
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
+def test_stop_callback_sees_each_recorded_iterate(solver):
+    # The callback gets the point of the record it is asked about; its
+    # string ends the run as the stop reason, at that point.
+    p, _ = rayleigh_problem(8, seed=1)
+    seen = []
+
+    def stop(record, x):
+        seen.append((record.iteration, record.cost, x))
+        return "enough" if record.iteration == 4 else None
+
+    res = solver(p, rng=np.random.default_rng(2), opts=SolverOptions(stop_callback=stop))
+    assert res.stop_reason == "enough"
+    assert [(i, f) for i, f, _ in seen] == [(r.iteration, r.cost) for r in res.history]
+    assert [i for i, _, _ in seen] == [0, 1, 2, 3, 4]
+    for _, f, x in seen:
+        assert p.cost(x) == f
+    assert seen[-1][2] is res.x_final
 
 
 def test_sd_iterates_stay_on_manifold():
