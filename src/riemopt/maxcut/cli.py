@@ -23,7 +23,8 @@ import numpy as np
 from ..diagnostics import check_gradient, check_hessian
 from ..solvers import SolverOptions, history_to_csv
 from .graph import laplacian, load_graph
-from .solve import SOLVERS, CutResult, build_problem, certify, rank_escalation, round_cut, solve_rank_r
+from .solve import SOLVERS, CutResult, FoldedLaplacian, build_problem, certify, rank_escalation
+from .solve import round_cut, solve_rank_r
 
 
 def _checked(kind, ok, requirement: str):
@@ -118,7 +119,7 @@ def run_cli(argv=None) -> int:
     try:
         g = load_graph(args.graph)
         try:
-            L = laplacian(g)
+            L = FoldedLaplacian(laplacian(g))  # folded once; the dense L is dropped
         except MemoryError:  # a node index or header n far beyond the edges
             raise ValueError(
                 f"the dense {g.n} x {g.n} Laplacian of this graph does not fit in memory"

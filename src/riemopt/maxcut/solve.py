@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..manifolds import elliptope_factory
-from ..problem import ProblemDef, get_cost
+from ..problem import ProblemDef
 from ..solvers import (
     RunResult,
     SolverOptions,
@@ -30,7 +30,6 @@ from ..solvers import (
     steepest_descent,
     trust_regions,
 )
-from .graph import cut_value_from_signs
 
 logger = logging.getLogger(__name__)
 
@@ -59,24 +58,41 @@ class CutResult:
         return sum(r.history[-1].iteration for r in self.histories if r.history)
 
 
-def build_problem(L: np.ndarray, r: int) -> ProblemDef:
-    """Relaxed max-cut problem on the rank-r elliptope.
+class FoldedLaplacian:
+    """L folded once into Lh = L * -0.5 (an operator given as L shares its
+    Lh).  Each value has the bits of its formula in L: scaling by a power of
+    two is exact, up to subnormal products (weights below about 1e-290).
+    Products are a plain ``Lh @ ·``, and Lh keeps L's ndarray subclass."""
 
-    cost(Y) = -trace(Y'LY)/4, egrad(Y) = -(LY)/2, ehess(Y, U) = -(LU)/2.
-    The factor -1/2 is folded into Lh = L * -0.5 once, here: scaling by a
-    power of two is exact, so Lh @ Y has the bits of (L @ Y) * -0.5 (up to
-    subnormal products, which need weights below about 1e-290), and
-    cost(Y) = <Y, Lh Y>/2.  The product Lh Y is stored in the per-point
-    cache so the cost and the gradient share one multiply; the point's
-    token keeps egrad, so Hessian-vector products at that point cost one
-    Lh U each.  Every product is a plain ``Lh @ ·``, and
-    Lh keeps the ndarray subclass of L, so a ``CountingMatrix`` view of L
-    sees (and counts) each one.
+    def __init__(self, L: np.ndarray | FoldedLaplacian):
+        self.Lh = L.Lh if isinstance(L, FoldedLaplacian) else L * -0.5
+
+    def dual(self, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(L Y) * Y, whose row i sums to d_i and all of it to trace(L Y Y'),
+        and the dual matrix S = Diag(d) - L."""
+        lyy = ((self.Lh @ Y) * -2.0 + 0.0) * Y  # + 0.0: the zeros of L Y are +0.0
+        S = self.Lh * 2.0  # -L
+        S += 0.0  # Diag(d) - L reads +0.0 where -L reads -0.0
+        S.flat[:: S.shape[0] + 1] = np.sum(lyy, axis=1) + np.diagonal(self.Lh) * 2.0
+        return lyy, S
+
+    def threshold(self, tol: float) -> float:
+        """The least lambda_min(S) that certifies: -tol ||L||_1 (-tol when L = 0)."""
+        return -tol * (float(np.linalg.norm(self.Lh, 1)) * 2.0 or 1.0)
+
+
+def build_problem(L: np.ndarray | FoldedLaplacian, r: int) -> ProblemDef:
+    """Relaxed max-cut problem of L (dense or folded) on the rank-r elliptope.
+
+    cost(Y) = -trace(Y'LY)/4 = <Y, Lh Y>/2, egrad(Y) = -(LY)/2 = Lh Y and
+    ehess(Y, U) = Lh U.  Lh Y is kept in the per-point cache, so the cost
+    and the gradient share one multiply; the point's token keeps egrad, so
+    Hessian-vector products there cost one Lh U each.
     """
     if r < 1:
         raise ValueError(f"build_problem: rank must be >= 1, got {r}")
-    manifold = elliptope_factory(L.shape[0], r)
-    Lh = L * -0.5
+    Lh = FoldedLaplacian(L).Lh
+    manifold = elliptope_factory(Lh.shape[0], r)
 
     def cached_lhy(y: np.ndarray, cache: dict) -> np.ndarray:
         if "LhY" not in cache:
@@ -86,17 +102,14 @@ def build_problem(L: np.ndarray, r: int) -> ProblemDef:
     def cost(y, cache):
         return float(np.vdot(y, cached_lhy(y, cache))) / 2.0
 
-    def egrad(y, cache):
-        return cached_lhy(y, cache)
-
     def ehess(y, u):
         return Lh @ u
 
-    return ProblemDef(manifold=manifold, cost=cost, egrad=egrad, ehess=ehess)
+    return ProblemDef(manifold=manifold, cost=cost, egrad=cached_lhy, ehess=ehess)
 
 
 def solve_rank_r(
-    L: np.ndarray,
+    L: np.ndarray | FoldedLaplacian,
     r: int,
     opts: Optional[SolverOptions] = None,
     rng=None,
@@ -109,7 +122,7 @@ def solve_rank_r(
 
 
 def round_cut(
-    L: np.ndarray, Y: np.ndarray, trials: int, rng
+    L: np.ndarray | FoldedLaplacian, Y: np.ndarray, trials: int, rng
 ) -> Tuple[np.ndarray, float]:
     """Random hyperplane rounding: keep the best of ``trials`` projections.
 
@@ -120,17 +133,18 @@ def round_cut(
     """
     if trials < 1:
         raise ValueError(f"round_cut: trials must be >= 1, got {trials}")
+    Lh = FoldedLaplacian(L).Lh
     Z = rng.standard_normal((trials, Y.shape[1]))
     S = np.where(Y @ Z.T >= 0, 1.0, -1.0)  # column k: signs of trial k
-    vals = (S * (L @ S)).sum(axis=0)
-    s = S[:, int(np.argmax(vals))].copy()
-    return s, cut_value_from_signs(L, s)
+    vals = (S * (Lh @ S)).sum(axis=0)  # -1/2 of each trial's s'Ls
+    s = S[:, int(np.argmin(vals))].copy()
+    return s, 0.0 - float(s @ Lh @ s) / 2.0  # s'Ls/4, and +0.0 for an empty cut
 
 
 def certify(
-    L: np.ndarray, Y: np.ndarray, tol: float = 1e-6
+    L: np.ndarray | FoldedLaplacian, Y: np.ndarray, tol: float = 1e-6
 ) -> Tuple[bool, float, float, np.ndarray]:
-    """Dual certificate and upper bound at Y.
+    """Dual certificate and upper bound at Y, for L dense or folded.
 
     Returns (certified, lambda_min(S), upper_bound, V).  For any mu <=
     lambda_min(S), d - mu 1 is feasible for the SDP's dual, so the bound
@@ -139,54 +153,38 @@ def certify(
     demands lambda_min >= -tol * ||L||_1 (the induced 1-norm keeps the
     tolerance scale-aware); the bound of a certified Y then exceeds
     trace(L Y Y')/4, the relaxation's value at Y, by at most
-    n tol ||L||_1 / 4.  The columns of V are the eigenvectors of S whose
-    eigenvalues lie below that threshold, most negative first, so V has no
-    columns exactly when Y is certified.  ``tol`` must be positive and
-    finite (ValueError otherwise), as the CLI's ``--tol``.
+    n tol ||L||_1 / 4.  V holds copies of the eigenvectors of S whose
+    eigenvalues lie below that threshold, most negative first (a view would
+    keep all n), so V has no columns exactly when Y is certified.  ``tol``
+    must be positive and finite (ValueError otherwise), as the CLI's ``--tol``.
     """
     _check_tol("certify", tol)
-    lyy, S = _dual(L, Y)
+    L = FoldedLaplacian(L)
+    lyy, S = L.dual(Y)
     evals, evecs = np.linalg.eigh(S)  # ascending
     lam_min = float(evals[0])
-    threshold = _threshold(L, tol)
+    threshold = L.threshold(tol)
     bound = (float(np.sum(lyy)) - Y.shape[0] * min(lam_min, 0.0)) / 4.0
-    return lam_min >= threshold, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))]
+    return lam_min >= threshold, lam_min, bound, evecs[:, : int(np.searchsorted(evals, threshold))].copy()
 
 
-def _dual(L: np.ndarray, Y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(L Y) * Y, whose row i sums to d_i and all of it to trace(L Y Y'),
-    and the dual matrix S = Diag(d) - L."""
-    lyy = (L @ Y) * Y
-    return lyy, np.diag(np.sum(lyy, axis=1)) - L
-
-
-def _threshold(L: np.ndarray, tol: float) -> float:
-    """The least lambda_min(S) that certifies: -tol ||L||_1 (-tol when L = 0)."""
-    return -tol * (float(np.linalg.norm(L, 1)) or 1.0)
-
-
-def _cholesky_certifies(L: np.ndarray, Y: np.ndarray, threshold: float) -> bool:
-    """Whether S - threshold I at Y has a Cholesky factor, i.e. lambda_min(S)
-    > threshold up to rounding: a tenth or less of ``certify``'s ``eigh``
-    time (n = 40 to 2000, one BLAS thread), but no lambda_min or bound."""
-    S = _dual(L, Y)[1]
-    S.flat[:: S.shape[0] + 1] -= threshold
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _certificate_stop(L: np.ndarray, tol: float, opts: SolverOptions):
+def _certificate_stop(L: FoldedLaplacian, tol: float, opts: SolverOptions):
     """An escalating solve's stop callback: the caller's own first, then, at
-    gradient norms up to sqrt(``tol_grad_norm``), the Cholesky test of
-    ``certify``'s threshold, which ends the solve as ``certified``."""
-    user, gate, threshold = opts.stop_callback, math.sqrt(opts.tol_grad_norm), _threshold(L, tol)
+    gradient norms up to sqrt(``tol_grad_norm``), ``certified`` if S - t I at
+    Y has a Cholesky factor (lambda_min(S) > t, ``certify``'s threshold, up
+    to rounding): a tenth or less of ``certify``'s ``eigh`` time (n = 40 to
+    2000, one BLAS thread), but no lambda_min or bound."""
+    user, gate, threshold = opts.stop_callback, math.sqrt(opts.tol_grad_norm), L.threshold(tol)
 
     def stop(record, Y):
         verdict = user(record, Y) if user is not None else None
-        if verdict or record.grad_norm > gate or not _cholesky_certifies(L, Y, threshold):
+        if verdict or record.grad_norm > gate:
+            return verdict
+        S = L.dual(Y)[1]
+        S.flat[:: S.shape[0] + 1] -= threshold
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
             return verdict
         return CERTIFIED
 
@@ -214,7 +212,7 @@ def next_rank(r: int, n: int) -> int:
 
 
 def rank_escalation(
-    L: np.ndarray,
+    L: np.ndarray | FoldedLaplacian,
     r0: int = 4,
     opts: Optional[SolverOptions] = None,
     rng=None,
@@ -250,7 +248,8 @@ def rank_escalation(
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
     _check_tol("rank_escalation", tol)
     rng = rng if rng is not None else np.random.default_rng(0)
-    n = L.shape[0]
+    L = FoldedLaplacian(L)
+    n = L.Lh.shape[0]
     opts = opts if opts is not None else SolverOptions()
     opts = replace(opts, stop_callback=_certificate_stop(L, tol, opts))
 
@@ -289,7 +288,7 @@ def rank_escalation(
         r = r_next
 
 
-def _step_off(L: np.ndarray, Y: np.ndarray, k: int, V: np.ndarray) -> Tuple[np.ndarray, int]:
+def _step_off(L: FoldedLaplacian, Y: np.ndarray, k: int, V: np.ndarray) -> Tuple[np.ndarray, int]:
     """Warm start at rank r + k near the n x r point Y (unit rows).
 
     Y padded with k zero columns is y.  The first m = min(k, #columns of V)
@@ -300,18 +299,18 @@ def _step_off(L: np.ndarray, Y: np.ndarray, k: int, V: np.ndarray) -> Tuple[np.n
     Y.  Each eigenvalue below zero thus lowers the cost to second order,
     so only the certificate's negative eigenvectors go in.  The start is
     the first of the retracted steps of length 1e-2, 1e-3, 1e-4 along z
-    that lowers the cost; y itself when none does.  Returns the start and
-    m, or 0 when y is returned.
+    that lowers the cost <y, Lh y>/2; y itself when none does.  Returns the
+    start and m, or 0 when y is returned.
     """
     n, r = Y.shape
-    p = build_problem(L, r + k)
+    retract = elliptope_factory(n, r + k).retract
     y = np.hstack([Y, np.zeros((n, k))])
     m = min(k, V.shape[1])
     z = np.zeros_like(y)
     z[:, r : r + m] = V[:, :m]
-    f0 = get_cost(p, y)
+    f0 = float(np.vdot(y, L.Lh @ y)) / 2.0
     for t in (1e-2, 1e-3, 1e-4):
-        cand = p.manifold.retract(y, z, t)
-        if get_cost(p, cand) < f0:
+        cand = retract(y, z, t)
+        if float(np.vdot(cand, L.Lh @ cand)) / 2.0 < f0:
             return cand, m
     return y, 0

@@ -7,6 +7,8 @@ import json
 import logging
 import math
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from riemopt.maxcut import (
 )
 from riemopt.maxcut import main as maxcut_main
 from riemopt.maxcut import solve as maxcut_solve
-from riemopt.maxcut.solve import next_rank
+from riemopt.maxcut.solve import FoldedLaplacian, next_rank
 from riemopt.problem import Counters, new_token
 from riemopt.solvers import RunResult
 
@@ -454,8 +456,9 @@ def test_next_rank_doubles_up_to_barvinok_pataki_then_up_to_n():
 
 def _never_certified(L, Y, tol):
     """An uncertified certificate: lambda_min -1, the total edge weight as
-    the bound, and one unit vector to step along."""
-    return False, -1.0, float(np.trace(L)) / 2.0, np.eye(L.shape[0], 1)
+    the bound, and one unit vector to step along.  rank_escalation passes
+    L folded, so the weight trace(L)/2 is -trace(Lh)."""
+    return False, -1.0, -float(np.trace(L.Lh)), np.eye(Y.shape[0], 1)
 
 
 @pytest.mark.parametrize(
@@ -558,7 +561,7 @@ def test_certify_returns_the_eigenvectors_below_the_threshold():
 def test_warm_start_steps_along_negative_eigenvectors_only():
     L, Y, _ = _saddle_at_rank_6()
     _, _, _, V = certify(L, Y)
-    x0, used = maxcut_solve._step_off(L, Y, 6, V)
+    x0, used = maxcut_solve._step_off(FoldedLaplacian(L), Y, 6, V)
     p = build_problem(L, 12)
     y = np.hstack([Y, np.zeros((20, 6))])
     assert used == 1
@@ -585,7 +588,7 @@ def test_warm_start_at_a_certified_point_returns_the_padded_point():
     L, _, _ = _saddle_at_rank_6()
     Y, _ = solve_rank_r(L, 12, rng=np.random.default_rng(1))
     assert certify(L, Y)[0]
-    x0, used = maxcut_solve._step_off(L, Y, 6, _top_eigenvectors(L, Y, 6))
+    x0, used = maxcut_solve._step_off(FoldedLaplacian(L), Y, 6, _top_eigenvectors(L, Y, 6))
     assert used == 0
     np.testing.assert_array_equal(x0, np.hstack([Y, np.zeros((20, 6))]))
 
@@ -948,9 +951,9 @@ def test_cli_json_with_a_nonfinite_value_exits_one(tmp_path, capsys, monkeypatch
     # A backstop: the JSON output never carries NaN or Infinity.
     import riemopt.maxcut.cli as cli
 
-    def infinite_cut(L, *args, **kwargs):
+    def infinite_cut(L, *args, **kwargs):  # the CLI passes L folded
         run = RunResult(None, -math.inf, math.inf, "nonfinite", [])
-        return CutResult(np.ones(L.shape[0]), math.inf, None, False, 2, [run])
+        return CutResult(np.ones(L.Lh.shape[0]), math.inf, None, False, 2, [run])
 
     monkeypatch.setattr(cli, "rank_escalation", infinite_cut)
     code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--escalate", "--out", "json"])
@@ -1062,3 +1065,121 @@ def test_certify_takes_one_product_with_l():
     assert CountingMatrix.products == 1
     assert got[:3] == expected[:3]
     np.testing.assert_array_equal(np.asarray(got[3]), expected[3])
+
+
+# --- the folded Laplacian ----------------------------------------------------
+
+
+@st.composite
+def _graph_with_zeros(draw):
+    """G(n, 0.4) on 2..30 nodes with unit, integer (1..9) or two-decimal
+    weights, about a sixth of its edges of weight 0 and up to a third of its
+    nodes isolated."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["unit", "integer", "decimal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    isolated = set(rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, n // 3 + 1)),
+                              replace=False).tolist())
+    weight = {"unit": lambda: 1.0, "integer": lambda: float(rng.integers(1, 10)),
+              "decimal": lambda: float(rng.integers(1, 1000)) / 100.0}[kind]
+    edges = [(i, j, 0.0 if rng.random() < 1 / 6 else weight())
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if i not in isolated and j not in isolated and rng.random() < 0.4]
+    return Graph.from_edges(n, edges)
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_graph_with_zeros(), st.integers(1, 6), st.sampled_from([1e-6, 1e-2, 10.0]),
+       st.integers(0, 2**32 - 1))
+def test_dense_and_folded_laplacian_give_the_same_bits(g, r, tol, seed):
+    # Each public function, from a dense L and from the operator, against
+    # its formula in L itself (the form these functions took before L was
+    # folded): the same bits, the signs of zeros included.
+    L = laplacian(g)
+    op = FoldedLaplacian(L)
+    r = min(r, g.n)
+    rng = np.random.default_rng(seed)
+    Y = build_problem(L, r).manifold.rand_point(rng)
+    U = rng.standard_normal(Y.shape)
+
+    # build_problem: cost, egrad and ehess at Y, each from its own copy of
+    # Lh = L * -0.5.
+    Lh = L * -0.5
+    expected = _bits(float(np.vdot(Y, Lh @ Y)) / 2.0, Lh @ Y, Lh @ U)
+    for form in (L, op):
+        p = build_problem(form, r)
+        assert _bits(p.cost(Y, {}), p.egrad(Y, {}), p.ehess(Y, U)) == expected
+
+    # round_cut: the first best of the trials, and its value s'Ls/4.
+    S = np.where(Y @ np.random.default_rng(seed).standard_normal((7, r)).T >= 0, 1.0, -1.0)
+    s = S[:, int(np.argmax((S * (L @ S)).sum(axis=0)))].copy()
+    for form in (L, op):
+        got_s, got_value = round_cut(form, Y, 7, np.random.default_rng(seed))
+        assert _bits(got_s, got_value) == _bits(s, float(s @ L @ s) / 4.0)
+
+    # certify: verdict, lambda_min, bound and eigenvectors.
+    lyy = (L @ Y) * Y
+    dual = np.diag(np.sum(lyy, axis=1)) - L
+    evals, evecs = np.linalg.eigh(dual)
+    threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
+    bound = (float(np.sum(lyy)) - g.n * min(float(evals[0]), 0.0)) / 4.0
+    V = evecs[:, : int(np.searchsorted(evals, threshold))]
+    for form in (L, op):
+        certified, lam_min, got_bound, got_V = certify(form, Y, tol)
+        assert certified is (float(evals[0]) >= threshold)
+        assert _bits(lam_min, got_bound, got_V) == _bits(evals[0], bound, V)
+
+    # The Cholesky stop: certified exactly when S - threshold I factors.
+    try:
+        np.linalg.cholesky(dual - threshold * np.eye(g.n))
+        verdict = "certified"
+    except np.linalg.LinAlgError:
+        verdict = None
+    stop = maxcut_solve._certificate_stop(op, tol, SolverOptions())
+    assert stop(SimpleNamespace(grad_norm=0.0), Y) == verdict
+
+
+def test_escalation_builds_one_problem_per_solve(monkeypatch):
+    # One build per rank's solve; the warm start between ranks builds none.
+    built = []
+    real = maxcut_solve.build_problem
+
+    def spy(L, r):
+        built.append(r)
+        return real(L, r)
+
+    monkeypatch.setattr(maxcut_solve, "build_problem", spy)
+    monkeypatch.setattr(maxcut_solve, "certify", _never_certified)  # a step-off at each rank
+    L = laplacian(_ring_with_chords(20, seed=3))
+    res = rank_escalation(L, r0=2, opts=SolverOptions(max_iter=3), rng=np.random.default_rng(4))
+    assert len(built) == len(res.histories) == 5
+    assert built == [run.x_final.shape[1] for run in res.histories]
+
+
+def _held_bytes(fn):
+    """fn's result and the bytes that stay allocated while it is kept."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_problem_and_certificate_of_the_operator_hold_no_n_by_n_array():
+    # One n x n array is 2 MB here; a problem built on the operator shares
+    # its Lh, and certify's V does not keep the whole eigenvector matrix.
+    n = 500
+    op = FoldedLaplacian(laplacian(_ring_with_chords(n, seed=1)))
+    p, held = _held_bytes(lambda: build_problem(op, 4))
+    assert p.egrad(np.ones((n, 4)), {}).shape == (n, 4)
+    assert held < n * n * 8 / 10
+    Y = p.manifold.rand_point(np.random.default_rng(2))
+    (certified, _, _, V), held = _held_bytes(lambda: certify(op, Y))
+    assert not certified and V.shape[1] >= 1
+    assert held - V.nbytes < n * n * 8 / 10
