@@ -44,7 +44,12 @@ class SolverOptions:
     ``clock`` is injectable so runs can produce deterministic timings.
     ``tol_grad_norm``, which also floors the tCG's residual target at a
     hundredth of it, and, when given, ``delta_bar`` and ``delta0`` must be
-    positive and finite, and ``max_inner`` at least 1.  ``ls_contraction``
+    positive and finite, and ``max_inner`` at least 1.  ``tcg_kappa`` and,
+    when given, ``tcg_theta`` must be finite and at least 0.  A
+    ``tcg_theta`` of None asks for the tCG's own default, 1 (a quadratic
+    target); max-cut's rank escalation fills in 0.5 (order 1.5), since its
+    certificate stop ends a rank's solve near sqrt(``tol_grad_norm``), where
+    the quadratic tail would buy nothing.  ``ls_contraction``
     and ``ls_sufficient_decrease`` must lie in (0, 1), ``ls_max_backtracks``
     must be at least 0, ``rho_prime`` must lie in [0, 1/4) as in Absil,
     Baker & Gallivan's trust-region method, and ``rho_regularization`` must
@@ -71,7 +76,7 @@ class SolverOptions:
     rho_prime: float = 0.1
     rho_regularization: float = 1e-15
     tcg_kappa: float = 0.1
-    tcg_theta: float = 1.0
+    tcg_theta: Optional[float] = None
     max_inner: Optional[int] = None
 
     clock: Callable[[], float] = time.perf_counter
@@ -89,6 +94,10 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        for name in ("tcg_kappa", "tcg_theta"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("ls_contraction", "ls_sufficient_decrease"):
             value = getattr(self, name)
             if not 0 < value < 1:

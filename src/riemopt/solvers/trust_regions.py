@@ -43,11 +43,15 @@ def tcg_subsolver(
     is ||r|| <= max(||r0|| * min(||r0||^theta, kappa), tol_grad_norm / 100),
     the usual switch between a superlinear and a linear convergence goal,
     floored where a more exact model solve no longer speeds up the outer
-    stop (inexact Newton).  theta is ``tcg_theta`` with an exact Hessian
-    and 0 otherwise, since finite-difference noise defeats a superlinear
-    target.  An r0 within the floor (a zero gradient) returns the zero step,
-    ``TCG_RESIDUAL`` and 0 inner iterations; a <r0, r0> or <r0, z0> that is
-    not finite raises ValueError.  Neither computes a Hessian product.
+    stop (inexact Newton).  theta is ``tcg_theta`` (1 when None) with an
+    exact Hessian and 0 otherwise, since finite-difference noise defeats a
+    superlinear target.  theta = 1 asks the outer iterates for quadratic
+    convergence, 0.5 for order 1.5 (Absil, Baker & Gallivan 2007).  Max-cut's
+    rank escalation takes 0.5: its certificate stop ends a rank's solve near
+    sqrt(tol_grad_norm), before the quadratic tail would pay.  An r0 within
+    the floor (a zero gradient) returns the zero step, ``TCG_RESIDUAL`` and
+    0 inner iterations; a <r0, r0> or <r0, z0> that is not finite raises
+    ValueError.  Neither computes a Hessian product.
 
     The Hessian route is resolved once per call (``hessian_at``).  One loop
     runs the Steihaug-Toint recurrence over one of two vector algebras,
@@ -80,7 +84,7 @@ def tcg_subsolver(
     memo = token is not None and token.get("grad") is g
     products = token.setdefault("tcg_products", []) if memo else None
     kappa = opts.tcg_kappa
-    theta = opts.tcg_theta if p.has_exact_hessian() else 0.0
+    theta = (1.0 if opts.tcg_theta is None else opts.tcg_theta) if p.has_exact_hessian() else 0.0
     max_inner = opts.max_inner if opts.max_inner is not None else 2 * max(M.dim, 1)
 
     if M.inner is trace_inner and M.lincomb is array_lincomb:

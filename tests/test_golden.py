@@ -73,30 +73,42 @@ def _gnm_edge_list(n, deg, seed, weights):
 # n tol ||L||_1 / 4 slack; cost moved by 2.3e-7 relative on n12 and by
 # 1.6e-10 or less on the others, and the CSV digests and line counts
 # changed with the histories.  cut, certified and rank_used did not move.
+# All four were re-pinned again when escalating solves began to ask the
+# truncated CG for an order-1.5 target (tcg_theta 0.5 instead of 1), and
+# when certify's bound took in an allowance for eigh's and the trace
+# sum's rounding (below 1e-13 of each bound here).  The solves take other
+# inner steps, so iterations went 6 -> 7, 11 -> 12, 11 -> 11 and 15 -> 14,
+# and each ends at another certified point of the same optimum.  The
+# bounds moved by -2.1e-8, -1.0e-7, +2.0e-6 and -2.0e-7 relative (-1 %,
+# -5 %, +88 % and -8 % of each graph's n tol ||L||_1 / 4 slack; n40's
+# bound now sits at 92 % of its slack above the relaxation's value, which
+# the Cholesky stop allows); cost moved by 2.3e-7 relative on n12 and by
+# 3.8e-10 or less on the others, and the CSV digests and line counts
+# changed with the histories.  cut, certified and rank_used did not move.
 GOLDEN = [
     (
         (12, 3, 1, "unit"),
-        dict(cut=16.0, bound=16.00000033915564, certified=True, rank_used=4,
-             iterations=6, cost=-15.999996273016894),
-        "2ee02d3be374ada6e23aad46f08e225c44bf9c86b73ad2f7228f33e9f82c52b6", 8,
+        dict(cut=16.0, bound=16.00000000000839, certified=True, rank_used=4,
+             iterations=7, cost=-15.999999999910568),
+        "bb68ab550200ff9e706216d818e911eee12e54a5a28f85ecd07100ff36a9baff", 9,
     ),
     (
         (30, 5, 3, "int"),
-        dict(cut=303.0, bound=314.14284163931063, certified=True, rank_used=4,
-             iterations=11, cost=-314.14277973309277),
-        "853e212ee4d7b5894851e05843dfe5a5b6bcc77c244cf3e42c9377f37df54035", 13,
+        dict(cut=303.0, bound=314.142808708519, certified=True, rank_used=4,
+             iterations=12, cost=-314.1427797360761),
+        "787e05cd8d979cc541d2f1c00f7800823ed0598d8481277ab82294a8ba0075ca", 14,
     ),
     (
         (40, 6, 4, "dec"),
-        dict(cut=153.61, bound=160.6844727711352, certified=True, rank_used=4,
-             iterations=11, cost=-160.68445633725398),
-        "bdc2822af4067c0bbf2261b00806c62f2c3ac2945598a0889528bbf3e7294de9", 13,
+        dict(cut=153.61, bound=160.6847935468231, certified=True, rank_used=4,
+             iterations=11, cost=-160.68445627701686),
+        "5ad61ad1883d7892cfb0ebd3144ad77f1bb39bb367d5bb403102ba3e121346c5", 13,
     ),
     (
         (60, 3, 5, "unit"),
-        dict(cut=80.0, bound=82.64208697093025, certified=True, rank_used=4,
-             iterations=15, cost=-82.642051496866),
-        "0a3054f38fdef356bc7d5e9b01047fc93576862d7c03e172833878dddd28e727", 17,
+        dict(cut=80.0, bound=82.64207026886398, certified=True, rank_used=4,
+             iterations=14, cost=-82.6420515080037),
+        "61fa6eaabeb0516489a504ee677583cde39c0c1e0f5d3f69ac14c675e1c254f7", 16,
     ),
 ]
 

@@ -350,6 +350,39 @@ def _graph_and_point(draw):
     return Graph.from_edges(n, edges), y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
+@pytest.mark.parametrize("escalate", [False, True])
+def test_single_edge_bound_never_falls_below_its_cut(escalate):
+    # Without the rounding allowance the bound read 0.9999999999999999
+    # against the cut 1 at 14 of these seeds in plain rank-2 solves (as the
+    # CLI runs them) and at 20 in escalations from rank 2.
+    L = laplacian(Graph.from_edges(2, [(1, 2, 1.0)]))
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        if escalate:
+            res = rank_escalation(L, r0=2, rng=rng)
+            cut, bound = res.cut_value, res.upper_bound
+        else:
+            Y, _ = solve_rank_r(L, 2, rng=rng)
+            _, cut = round_cut(L, Y, 100, rng)
+            bound = certify(L, Y)[2]
+        assert cut == 1.0 <= bound <= 1.0 + 1e-6
+
+
+def test_certify_rounding_allowance_is_tiny_at_benchmark_sizes():
+    # A 120-node graph with integer weights 1..9 at a solved Y: the
+    # allowance lifts the bound by less than 1e-12 of it.
+    rng = np.random.default_rng(5)
+    edges = [(int(i), int(j), float(w)) for (i, j), w in
+             zip(rng.integers(1, 121, (480, 2)), rng.integers(1, 10, 480)) if i != j]
+    L = laplacian(Graph.from_edges(120, edges))
+    Y = rank_escalation(L, rng=rng).histories[-1].x_final
+    lyy, S = FoldedLaplacian(L).dual(Y)
+    lam_min = float(np.linalg.eigvalsh(S)[0])
+    plain = (float(np.sum(lyy)) - 120 * min(lam_min, 0.0)) / 4.0
+    bound = certify(L, Y)[2]
+    assert 0.0 < bound - plain < 1e-12 * bound
+
+
 @settings(derandomize=True, deadline=None)
 @given(_graph_and_point(), st.sampled_from([1e-6, 1e-3]))
 def test_certify_bounds_every_cut_at_any_point(graph_and_point, tol):
@@ -359,7 +392,7 @@ def test_certify_bounds_every_cut_at_any_point(graph_and_point, tol):
     certified, lam_min, bound, V = certify(L, Y, tol)
     exact, _ = brute_force_max_cut(g)
     scale = max(1.0, float(np.abs(L).sum()))
-    assert exact <= bound + 1e-12 * scale
+    assert exact <= bound  # the allowance covers eigh's and the sum's rounding
     assert (V.shape[1] == 0) is certified
     if certified:
         value = float(np.sum((L @ Y) * Y)) / 4.0
@@ -430,10 +463,12 @@ def test_escalation_carries_on_past_noncritical_ranks():
     # still get a verdict, eigenvectors to step along and a bound.  n = 20:
     # r_BP = 6, so the ranks are 2, 4, 6, 12, 20.  With 7 iterations a
     # rank the doubling reaches certifies; with 5 none does, and escalation
-    # stops at n with an uncertified bound.
+    # stops at n with an uncertified bound.  These counts hold for the
+    # quadratic tCG target, tcg_theta = 1: at escalation's default of 0.5
+    # five iterations already certify rank 12.
     L = laplacian(_ring_with_chords(20, seed=1))
     for max_iter, ranks, certified in ((7, [2, 4, 6, 12], True), (5, [2, 4, 6, 12, 20], False)):
-        res = rank_escalation(L, r0=2, opts=SolverOptions(max_iter=max_iter),
+        res = rank_escalation(L, r0=2, opts=SolverOptions(max_iter=max_iter, tcg_theta=1.0),
                               rng=np.random.default_rng(2))
         first = res.histories[0]
         assert first.stop_reason == "max_iter"
@@ -612,6 +647,48 @@ def test_escalation_does_not_run_to_n_from_a_saddle(monkeypatch):
     assert res.cut_value <= res.upper_bound + 1e-9
 
 
+def _solve_options_seen(monkeypatch, opts):
+    """The tcg_theta of each solve's options in one escalation of a
+    20-node graph from rank 2."""
+    seen, real = [], maxcut_solve.solve_rank_r
+
+    def spy(L, r, opts=None, rng=None, x0=None, solver="tr"):
+        seen.append(opts.tcg_theta)
+        return real(L, r, opts, rng, x0=x0, solver=solver)
+
+    monkeypatch.setattr(maxcut_solve, "solve_rank_r", spy)
+    res = rank_escalation(laplacian(_weighted_gnp(20, seed=1)), r0=2, opts=opts,
+                          rng=np.random.default_rng(2))
+    assert res.certified and len(seen) == len(res.histories) == 2
+    return seen
+
+
+@pytest.mark.parametrize("theta, expected", [(None, 0.5), (1.0, 1.0), (0.25, 0.25), (0.0, 0.0)])
+def test_escalation_solves_to_order_one_and_a_half_unless_told(monkeypatch, theta, expected):
+    opts = SolverOptions(tcg_theta=theta)
+    assert _solve_options_seen(monkeypatch, opts) == [expected, expected]
+    assert opts.tcg_theta == theta  # the caller's options are not changed
+
+
+def test_escalation_without_options_solves_to_order_one_and_a_half(monkeypatch):
+    assert _solve_options_seen(monkeypatch, None) == [0.5, 0.5]
+
+
+def test_escalation_at_order_one_and_a_half_takes_fewer_products():
+    # The same escalation at theta = 1 and at the default 0.5: the same
+    # ranks, verdict and cut, and fewer Hessian products at 0.5.
+    L = laplacian(_ring_with_chords(60, seed=3))
+    runs = {theta: rank_escalation(L, opts=SolverOptions(tcg_theta=theta),
+                                   rng=np.random.default_rng(4))
+            for theta in (1.0, None)}
+    products = {theta: sum(run.counters["hess_evals"] for run in res.histories)
+                for theta, res in runs.items()}
+    assert runs[1.0].certified and runs[None].certified
+    assert runs[1.0].rank_used == runs[None].rank_used
+    assert runs[1.0].cut_value == runs[None].cut_value
+    assert products[None] < products[1.0]
+
+
 def test_escalation_logs_one_debug_record_per_rank(caplog):
     L = laplacian(_weighted_gnp(10, seed=0))
     with caplog.at_level(logging.DEBUG, logger="riemopt.maxcut.solve"):
@@ -620,10 +697,15 @@ def test_escalation_logs_one_debug_record_per_rank(caplog):
     assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "riemopt.maxcut.solve")
     assert len(messages) == len(res.histories) == 2
     assert messages[0] == (
-        "rank 2: 11 iterations, lambda_min -2.453213e-01, 1 eigenvectors used, certified False"
+        "rank 2: 11 iterations, stop gradient_tolerance, 30 Hessian products, "
+        "lambda_min -2.453213e-01, 1 eigenvectors used, certified False"
     )
-    assert messages[1].startswith("rank 4: 6 iterations, lambda_min ")
+    assert messages[1].startswith("rank 4: 6 iterations, stop certified, 28 Hessian products, "
+                                  "lambda_min ")
     assert messages[1].endswith(", 0 eigenvectors used, certified True")
+    # Each record's stop reason and product count are its solve's own.
+    for message, run in zip(messages, res.histories):
+        assert f", stop {run.stop_reason}, {run.counters['hess_evals']} Hessian products," in message
 
 
 def test_escalation_formats_no_log_message_when_debug_is_off(monkeypatch, caplog):
@@ -1126,7 +1208,10 @@ def test_dense_and_folded_laplacian_give_the_same_bits(g, r, tol, seed):
     dual = np.diag(np.sum(lyy, axis=1)) - L
     evals, evecs = np.linalg.eigh(dual)
     threshold = -tol * (float(np.linalg.norm(L, 1)) or 1.0)
-    bound = (float(np.sum(lyy)) - g.n * min(float(evals[0]), 0.0)) / 4.0
+    allowance = np.finfo(float).eps * (
+        g.n * g.n * float(np.linalg.norm(dual, 1)) + (g.n + 1) * r * float(np.sum(np.abs(lyy)))
+    )
+    bound = (float(np.sum(lyy)) - g.n * min(float(evals[0]), 0.0) + allowance) / 4.0
     V = evecs[:, : int(np.searchsorted(evals, threshold))]
     for form in (L, op):
         certified, lam_min, got_bound, got_V = certify(form, Y, tol)

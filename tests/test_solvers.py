@@ -188,6 +188,17 @@ def test_options_validation():
     ("rho_regularization", math.nan),
     ("rho_regularization", math.inf),
     ("rho_regularization", -1e-15),
+    # A NaN tCG target is never met, so each tCG call ran on to the
+    # boundary or max_inner: with a NaN tcg_theta, TR on a 30-node max-cut
+    # problem at rank 4 took 575 Hessian products instead of 322.
+    ("tcg_theta", math.nan),
+    ("tcg_theta", math.inf),
+    ("tcg_theta", -math.inf),
+    ("tcg_theta", -0.5),
+    ("tcg_kappa", math.nan),
+    ("tcg_kappa", math.inf),
+    ("tcg_kappa", -math.inf),
+    ("tcg_kappa", -0.1),
 ])
 def test_options_reject_values_that_crash_or_spin(field, value):
     with pytest.raises(ValueError, match=field):
@@ -208,6 +219,10 @@ def test_options_accept_the_smallest_valid_values():
     for solver in (steepest_descent, conjugate_gradient):
         res = solver(make_quadratic_problem(sphere_factory(5)), opts=opts)
         assert res.stop_reason == "gradient_tolerance"
+    # A zero kappa and theta ask each tCG call for its floor, tol_grad_norm / 100.
+    opts = SolverOptions(tcg_kappa=0.0, tcg_theta=0.0, clock=lambda: 0.0)
+    res = trust_regions(make_quadratic_problem(sphere_factory(5)), opts=opts)
+    assert res.stop_reason == "gradient_tolerance"
 
 
 # --- Armijo line search ------------------------------------------------------
@@ -543,7 +558,7 @@ def test_tcg_rejects_a_preconditioned_gradient_whose_product_is_not_finite(loop)
     assert store.hess_evals == 0
 
 
-@pytest.mark.parametrize("kappa", [1.0, 2.0, math.nan])
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
 def test_tr_with_a_tcg_kappa_of_one_or_more_still_steps(kappa):
     # Such a kappa lifts the superlinear target to ||r0|| or above once
     # ||r0|| >= 1.  Only the floor may end a tCG call before its first
@@ -592,6 +607,23 @@ def test_tcg_floor_leaves_a_call_above_it_bit_for_bit():
     )
     assert (stop, inner) == (stop_0, inner_0)
     assert eta.tobytes() == eta_0.tobytes() and h_eta.tobytes() == h_eta_0.tobytes()
+
+
+def test_tcg_reads_an_unset_theta_as_one():
+    # At ||g|| = 1e-2 the targets are 1e-4 (theta 1) and 1e-3 (theta 0.5):
+    # None gives theta = 1's bits, and the order-1.5 target stops sooner.
+    p, q, g = _ill_conditioned_quadratic()
+    g = 1e-2 * g
+    x = np.zeros(q.shape[0])
+    runs = {theta: tcg_subsolver(p, x, g, 1e6, SolverOptions(tcg_theta=theta))
+            for theta in (None, 1.0, 0.5)}
+    assert SolverOptions().tcg_theta is None
+    (eta, h_eta, stop, inner), (eta_1, h_eta_1, stop_1, inner_1) = runs[None], runs[1.0]
+    assert (stop, inner) == (stop_1, inner_1) == (TCG_RESIDUAL, inner)
+    assert eta.tobytes() == eta_1.tobytes() and h_eta.tobytes() == h_eta_1.tobytes()
+    eta_half, _, stop_half, inner_half = runs[0.5]
+    assert stop_half == TCG_RESIDUAL and inner_half < inner
+    assert 1e-4 < np.linalg.norm(g + q @ eta_half) <= 1e-3
 
 
 # (m, n, k) -> (record count, counters, SHA-256 of the history tuples),
