@@ -41,9 +41,7 @@ def _checked(kind, ok, requirement: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
-_SEED = _checked(int, lambda v: v >= 0, ">= 0")
-_MIN_ITER = SolverOptions().min_iter
-_MAX_ITER = _checked(int, lambda v: v >= _MIN_ITER, f">= {_MIN_ITER}")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 _TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
@@ -65,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--trials", type=_POSITIVE_INT, default=100, help="rounding trials per column added")
     solve.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="certification tol")
-    solve.add_argument("--seed", type=_SEED, default=0)
+    solve.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     solve.add_argument("--solver", choices=tuple(SOLVERS), default="tr")
     solve.add_argument("--out", choices=("text", "json", "csv"), default="text")
     solve.add_argument("--history", help="write per-iteration CSV history here")
@@ -75,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="wall",
         help="'none' reports zero elapsed times (reproducible output)",
     )
-    solve.add_argument("--max-iter", type=_MAX_ITER, default=1000)
+    solve.add_argument("--max-iter", type=_NONNEGATIVE_INT, default=1000)
 
     check = sub.add_parser("check", help="derivative checks on the built problem")
     check.add_argument("--graph", required=True)
     check.add_argument("--rank", type=_POSITIVE_INT, default=2)
-    check.add_argument("--seed", type=_SEED, default=0)
+    check.add_argument("--seed", type=_NONNEGATIVE_INT, default=0)
     return parser
 
 

@@ -118,7 +118,10 @@ def solve_rank_r(
     x0: Optional[np.ndarray] = None,
     solver: str = "tr",
 ) -> Tuple[np.ndarray, RunResult]:
-    """Optimize the rank-r relaxation from a random (or given) start."""
+    """Optimize the rank-r relaxation from a random (or given) start with
+    ``SOLVERS[solver]`` (ValueError for an unknown name)."""
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, got {solver!r}")
     result = SOLVERS[solver](build_problem(L, r), x0, opts, rng)
     return result.x_final, result
 
@@ -251,7 +254,8 @@ def rank_escalation(
     every column of the first rank counting as added: as much rounding per
     column as a schedule that adds one column per rank draws.  The result
     carries the last rank's bound, which holds for every cut whether it
-    certified or not.
+    certified or not.  An ``r0`` below 2, ``trials`` below 1, a bad ``tol``
+    or an unknown ``solver`` raises ValueError before any problem is built.
 
     Each solve's truncated CG aims at order 1.5, tcg_theta =
     ``ESCALATION_TCG_THETA`` (0.5), unless ``opts`` sets ``tcg_theta``.
@@ -267,6 +271,8 @@ def rank_escalation(
     """
     if r0 < 2:
         raise ValueError(f"rank_escalation: r0 must be >= 2, got {r0}")
+    if trials < 1:
+        raise ValueError(f"rank_escalation: trials must be >= 1, got {trials}")
     _check_tol("rank_escalation", tol)
     rng = rng if rng is not None else np.random.default_rng(0)
     L = FoldedLaplacian(L)

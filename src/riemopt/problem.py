@@ -10,9 +10,9 @@ at a point as a map.
 Caching is keyed by solver-held point tokens, not by hashing point
 contents: a token (``new_token``) is the point's cache entry itself, which
 the solver keeps next to the point and drops with it.  A :class:`Counters`
-record counts the evaluations of one run.  User callables may declare an
-extra trailing parameter to receive a per-point scratch dict, which lets the
-cost and the gradient share intermediate products.
+record counts the evaluations of one run.  ``cost``, ``egrad``, ``rgrad``,
+``ehess`` and ``rhess`` may declare an extra trailing parameter to receive a
+per-point scratch dict, which lets the cost and the gradient share work.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class ProblemDef:
     ``egrad`` and the manifold's ``ehess2rhess`` too), then ``fd-fallback``
     when there is a gradient, else ``unavailable``.
 
-    Any callable may take one extra positional parameter to receive the
-    per-point scratch dict of the point's cache entry.
+    ``cost``, ``egrad``, ``rgrad``, ``ehess`` and ``rhess`` may take one extra
+    positional parameter to receive the per-point scratch dict of the point's
+    cache entry; ``precond`` is always called as ``precond(x, u)``.
     """
 
     manifold: ManifoldDescriptor

@@ -45,22 +45,20 @@ class SolverOptions:
     ``tol_grad_norm``, which also floors the tCG's residual target at a
     hundredth of it, and, when given, ``delta_bar`` and ``delta0`` must be
     positive and finite, and ``max_inner`` at least 1.  ``tcg_kappa`` and,
-    when given, ``tcg_theta`` must be finite and at least 0.  A
-    ``tcg_theta`` of None asks for the tCG's own default, 1 (a quadratic
-    target); max-cut's rank escalation fills in 0.5 (order 1.5), since its
-    certificate stop ends a rank's solve near sqrt(``tol_grad_norm``), where
-    the quadratic tail would buy nothing.  ``ls_contraction``
-    and ``ls_sufficient_decrease`` must lie in (0, 1), ``ls_max_backtracks``
-    must be at least 0, ``rho_prime`` must lie in [0, 1/4) as in Absil,
-    Baker & Gallivan's trust-region method, and ``rho_regularization`` must
-    be finite and at least 0.  Other values raise ValueError here, since
-    they would make a run crash, spin, or end as a failed line search.
+    when given, ``tcg_theta`` must be finite and at least 0; a
+    ``tcg_theta`` of None reads as 1 (a quadratic target).  ``max_iter``
+    and ``ls_max_backtracks`` must be at least 0 (a ``max_iter`` of 0
+    records the start point and stops), ``ls_contraction`` and
+    ``ls_sufficient_decrease`` must lie in (0, 1), ``rho_prime`` must lie
+    in [0, 1/4) as in Absil, Baker & Gallivan's trust-region method, and
+    ``rho_regularization`` must be finite and at least 0.  Other values
+    raise ValueError here, since they would make a run crash, spin, or end
+    as a failed line search.
     """
 
     max_iter: int = 1000
     tol_grad_norm: float = 1e-6
     max_time_seconds: float = math.inf
-    min_iter: int = 3
     stats_callback: Optional[Callable] = None
     stop_callback: Optional[Callable] = None
 
@@ -86,8 +84,8 @@ class SolverOptions:
         # would run the solver into a zero division or to max_iter.
         if not 0 < self.tol_grad_norm < math.inf:
             raise ValueError(f"tol_grad_norm must be positive and finite, got {self.tol_grad_norm}")
-        if self.max_iter < self.min_iter:
-            raise ValueError("max_iter must be >= min_iter")
+        if not self.max_iter >= 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         for name in ("delta_bar", "delta0"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -139,7 +137,7 @@ def shared_stopping(record: IterationRecord, opts: SolverOptions, x=None):
 
     The stop callback, tried last, sees the record and the point ``x``.
     """
-    if record.grad_norm <= opts.tol_grad_norm and record.iteration >= opts.min_iter:
+    if record.grad_norm <= opts.tol_grad_norm:
         return True, GRADIENT_TOLERANCE
     if record.iteration >= opts.max_iter:
         return True, MAX_ITER
@@ -180,10 +178,10 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
     gnorm)`` returns the next point, its token (x's own if it stays) and
     those four fields, or a stop reason.  The loop reads each new point's
     cost and gradient from its token, where the step left what it
-    evaluated, so no point is evaluated twice.  A point whose gradient is
-    below tolerance before ``min_iter`` is recorded again, without a step,
-    until the stop is allowed.  A NaN or infinite cost or gradient norm
-    ends the run as ``nonfinite``.
+    evaluated, so no point is evaluated twice.  The run stops at the first
+    record whose gradient norm is at most ``tol_grad_norm``, so only a
+    rejected step records a point twice.  A NaN or infinite cost or
+    gradient norm ends the run as ``nonfinite``.
     """
     opts = opts if opts is not None else SolverOptions()
     store = Counters()
@@ -214,14 +212,11 @@ def iterate(p, x0, opts: Optional[SolverOptions], rng, rule) -> RunResult:
         stop, reason = shared_stopping(rec, opts, x)
         if stop:
             break
-        if gnorm <= opts.tol_grad_norm:
-            step_size, inner, rho = 0.0, None, None
-        else:
-            out = step(x, tok, f, g, gnorm)
-            if isinstance(out, str):
-                reason = out
-                break
-            x, tok, step_size, inner, delta, rho = out
+        out = step(x, tok, f, g, gnorm)
+        if isinstance(out, str):
+            reason = out
+            break
+        x, tok, step_size, inner, delta, rho = out
         it += 1
     return RunResult(x, f, gnorm, reason, history, asdict(store))
 

@@ -46,12 +46,10 @@ def tcg_subsolver(
     stop (inexact Newton).  theta is ``tcg_theta`` (1 when None) with an
     exact Hessian and 0 otherwise, since finite-difference noise defeats a
     superlinear target.  theta = 1 asks the outer iterates for quadratic
-    convergence, 0.5 for order 1.5 (Absil, Baker & Gallivan 2007).  Max-cut's
-    rank escalation takes 0.5: its certificate stop ends a rank's solve near
-    sqrt(tol_grad_norm), before the quadratic tail would pay.  An r0 within
-    the floor (a zero gradient) returns the zero step, ``TCG_RESIDUAL`` and
-    0 inner iterations; a <r0, r0> or <r0, z0> that is not finite raises
-    ValueError.  Neither computes a Hessian product.
+    convergence, 0.5 for order 1.5 (Absil, Baker & Gallivan 2007).  An r0
+    within the floor (a zero gradient) returns the zero step,
+    ``TCG_RESIDUAL`` and 0 inner iterations; a <r0, r0> or <r0, z0> that is
+    not finite raises ValueError.  Neither computes a Hessian product.
 
     The Hessian route is resolved once per call (``hessian_at``).  One loop
     runs the Steihaug-Toint recurrence over one of two vector algebras,

@@ -174,7 +174,7 @@ def test_acceptance_3_rayleigh_oracle():
         res = trust_regions(
             p,
             rng=np.random.default_rng(seed),
-            opts=SolverOptions(tol_grad_norm=1e-12, min_iter=0, max_iter=100),
+            opts=SolverOptions(tol_grad_norm=1e-12, max_iter=100),
         )
         lam_max = float(np.linalg.eigvalsh(a)[-1])
         ok &= abs(res.cost_final - (-lam_max)) <= 1e-8
@@ -342,7 +342,7 @@ def test_acceptance_7_solver_matrix(solver):
     for M in solver_matrix_manifolds():
         for seed in (0, 1, 2):
             p = make_quadratic_problem(M, seed=seed)
-            opts = SolverOptions(tol_grad_norm=1e-4, max_iter=2000, min_iter=0)
+            opts = SolverOptions(tol_grad_norm=1e-4, max_iter=2000)
             res = solver(p, rng=np.random.default_rng(seed + 10), opts=opts)
             if res.grad_norm_final > 1e-4:
                 print(f"  {solver.__name__} stalled on {M.name} seed {seed} "

@@ -723,6 +723,24 @@ def test_escalation_requires_r0_at_least_two():
         rank_escalation(laplacian(k3()), r0=1)
 
 
+@pytest.mark.parametrize("call, kwargs, message", [
+    (rank_escalation, {"trials": 0}, "rank_escalation: trials must be >= 1"),
+    (rank_escalation, {"solver": "bogus"}, "solver must be one of tr, cg, sd"),
+    (solve_rank_r, {"r": 2, "solver": "bogus"}, "solver must be one of tr, cg, sd"),
+])
+def test_bad_escalation_arguments_fail_before_any_problem_is_built(
+    monkeypatch, call, kwargs, message
+):
+    # trials=0 used to run the first rank's whole solve before round_cut
+    # raised, and an unknown solver raised KeyError.
+    def must_not_run(*args):
+        raise AssertionError("build_problem called")
+
+    monkeypatch.setattr(maxcut_solve, "build_problem", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        call(laplacian(k5()), **kwargs)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_certify_and_escalation_reject_a_tol_that_is_not_positive_and_finite(tol):
     L = laplacian(k5())
@@ -862,13 +880,24 @@ def test_console_script_exits_with_the_cli_code(tmp_path, monkeypatch, capsys, g
 
 
 def test_cli_iterations_do_not_count_the_iteration_zero_record(tmp_path, capsys):
-    # Three iterations make four history records; the CLI used to print 4.
-    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--rank", "1", "--max-iter", "3",
-                    "--out", "csv", "--timing", "none"])
+    # Three steps make four history records; the CLI used to print 4.
+    hist = tmp_path / "hist.csv"
+    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--rank", "2", "--max-iter", "3",
+                    "--history", str(hist), "--out", "csv", "--timing", "none"])
     header, row = capsys.readouterr().out.splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert code == 0
     assert fields["iterations"] == "3"
+    records = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+    assert [rec[0] for rec in records] == ["0", "1", "2", "3"]
+    assert all(float(rec[4]) > 0 for rec in records[1:])  # each a real step
+
+
+def test_cli_max_iter_zero_solves_nothing(tmp_path, capsys):
+    code = run_cli(["solve", "--graph", _write_k3(tmp_path), "--max-iter", "0",
+                    "--out", "json", "--timing", "none"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 0
 
 
 def test_cli_byte_identical_reruns(tmp_path, capsys):
@@ -1067,8 +1096,8 @@ def test_cli_solver_choices(tmp_path, capsys):
     "argv, message",
     [
         (["solve", "--trials", "0"], "--trials: must be >= 1"),
-        (["solve", "--max-iter", "0"], "--max-iter: must be >= 3"),
-        (["solve", "--max-iter", "2"], "--max-iter: must be >= 3"),
+        (["solve", "--max-iter=-1"], "--max-iter: must be >= 0"),
+        (["solve", "--max-iter", "2.5"], "--max-iter: invalid int value"),
         (["solve", "--rank", "0"], "--rank: must be >= 1"),
         (["solve", "--rank", "4"], "--rank 4 exceeds the 3 nodes"),
         (["check", "--rank", "0"], "--rank: must be >= 1"),

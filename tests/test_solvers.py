@@ -65,8 +65,8 @@ def test_shared_stopping_cases():
     opts = SolverOptions()
     rec = IterationRecord(5, 1.0, 1e-9, 0.1)
     assert shared_stopping(rec, opts) == (True, GRADIENT_TOLERANCE)
-    # min_iter blocks an early gradient stop
-    assert shared_stopping(IterationRecord(1, 1.0, 1e-9, 0.1), opts) == (False, None)
+    # the gradient stop holds from the first record on
+    assert shared_stopping(IterationRecord(1, 1.0, 1e-9, 0.1), opts) == (True, GRADIENT_TOLERANCE)
     assert shared_stopping(IterationRecord(1000, 1.0, 1.0, 0.1), opts) == (
         True,
         MAX_ITER,
@@ -148,8 +148,19 @@ def test_trust_regions_stops_on_a_nonfinite_model(M, route, value):
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_grad_norm=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=1, min_iter=5)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        SolverOptions(max_iter=-1)
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
+def test_max_iter_zero_records_the_start_point_and_stops(solver):
+    p, _ = rayleigh_problem(5, seed=2)
+    x0 = p.manifold.rand_point(np.random.default_rng(3))
+    res = solver(p, x0, SolverOptions(max_iter=0))
+    assert res.stop_reason == MAX_ITER
+    assert [r.iteration for r in res.history] == [0]
+    assert res.counters == {"cost_evals": 1, "grad_evals": 1, "hess_evals": 0}
+    assert res.x_final is x0
 
 
 # Each of these used to be accepted: a NaN gradient tolerance passed the
@@ -337,18 +348,6 @@ def test_sd_sphere_rayleigh_converges_to_top_eigenvector():
     assert res.cost_final == pytest.approx(-3.0, abs=1e-9)
 
 
-def test_sd_critical_start_stops_after_min_iter():
-    M = sphere_factory(3)
-    a = np.diag([3.0, 2.0, 1.0])
-    p = ProblemDef(
-        manifold=M, cost=lambda x: -float(x @ a @ x), egrad=lambda x: -2.0 * a @ x
-    )
-    res = steepest_descent(p, x0=np.array([1.0, 0.0, 0.0]))
-    assert res.stop_reason == GRADIENT_TOLERANCE
-    assert res.history[-1].iteration == SolverOptions().min_iter
-    np.testing.assert_allclose(res.x_final, [1.0, 0.0, 0.0])
-
-
 def test_sd_step_collapse():
     # Discontinuous drop that Armijo can never satisfy from x0.
     M = euclidean_factory(1)
@@ -414,7 +413,7 @@ def test_cg_finite_termination_on_quadratic():
     b = rng.standard_normal(n)
     p = _euclid_quadratic(q, b)
     opts = SolverOptions(
-        tol_grad_norm=1e-8, line_search=_exact_quadratic_line_search, min_iter=0
+        tol_grad_norm=1e-8, line_search=_exact_quadratic_line_search
     )
     res = conjugate_gradient(p, x0=np.zeros(n), opts=opts)
     assert res.stop_reason == GRADIENT_TOLERANCE
@@ -437,7 +436,7 @@ def test_cg_preconditioner_speedup():
         precond=lambda x, u: q_inv @ u,
     )
     opts = SolverOptions(
-        tol_grad_norm=1e-8, line_search=_exact_quadratic_line_search, min_iter=0
+        tol_grad_norm=1e-8, line_search=_exact_quadratic_line_search
     )
     r_plain = conjugate_gradient(p_plain, x0=np.zeros(n), opts=opts)
     r_pre = conjugate_gradient(p_pre, x0=np.zeros(n), opts=opts)
@@ -661,7 +660,7 @@ def test_tr_newton_like_on_euclidean_quadratic():
     b = rng.standard_normal(6)
     p = _euclid_quadratic(q, b)
     opts = SolverOptions(
-        tol_grad_norm=1e-10, min_iter=0, delta_bar=1e6, delta0=1e5, tcg_kappa=1e-10
+        tol_grad_norm=1e-10, delta_bar=1e6, delta0=1e5, tcg_kappa=1e-10
     )
     res = trust_regions(p, x0=np.zeros(6), opts=opts)
     assert res.stop_reason == GRADIENT_TOLERANCE
@@ -679,7 +678,7 @@ def test_tr_sphere_rayleigh_50():
 
 def test_tr_local_quadratic_convergence():
     p, _ = rayleigh_problem(20, seed=11)
-    opts = SolverOptions(tol_grad_norm=1e-12, min_iter=0)
+    opts = SolverOptions(tol_grad_norm=1e-12)
     res = trust_regions(p, rng=np.random.default_rng(12), opts=opts)
     gnorms = [r.grad_norm for r in res.history if r.grad_norm > 0]
     # superlinear tail: log gnorm_{k+1} / log gnorm_k >= 1.8 over the last
@@ -774,17 +773,29 @@ def test_cg_evaluates_gradient_once_per_point():
     assert res.counters["grad_evals"] == len(res.history)
 
 
-@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
-def test_idle_records_reuse_the_point_token(solver):
-    # Started at the minimizer, the solver idles at one point until
-    # min_iter allows the stop; the cost and gradient there are cached.
-    p = _euclid_quadratic(np.eye(3))
-    opts = SolverOptions(clock=lambda: 0.0)
-    res = solver(p, np.zeros(3), opts)
+def _critical_start(name):
+    """A problem and a critical point of it: the minimizer of a Euclidean
+    quadratic, or an eigenvector of a Rayleigh cost on the sphere."""
+    if name == "quadratic":
+        return _euclid_quadratic(np.eye(3)), np.zeros(3)
+    a = np.diag([3.0, 2.0, 1.0])
+    p = ProblemDef(manifold=sphere_factory(3), cost=lambda x: -float(x @ a @ x),
+                   egrad=lambda x: -2.0 * a @ x, ehess=lambda x, u: -2.0 * a @ u)
+    return p, np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, trust_regions])
+@pytest.mark.parametrize("start", ["quadratic", "rayleigh"])
+def test_critical_start_stops_at_iteration_zero(start, solver):
+    # A run stops at its first record whose gradient meets the tolerance:
+    # started there, it records iteration 0 alone and evaluates the start
+    # point once, with no Hessian product.
+    p, x0 = _critical_start(start)
+    res = solver(p, x0, SolverOptions(clock=lambda: 0.0))
     assert res.stop_reason == GRADIENT_TOLERANCE
-    assert len(res.history) == opts.min_iter + 1
-    assert res.counters["cost_evals"] == 1
-    assert res.counters["grad_evals"] == 1
+    assert [r.iteration for r in res.history] == [0]
+    assert res.counters == {"cost_evals": 1, "grad_evals": 1, "hess_evals": 0}
+    np.testing.assert_array_equal(res.x_final, x0)
 
 
 @pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
